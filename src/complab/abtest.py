@@ -172,7 +172,8 @@ def assign_group(
 def aggregate(records: Iterable[dict]) -> tuple[list[AbObservation], int]:
     """Count acceptance records per (developer, UTC day, group).
 
-    Records missing developer_id, timestamp, or group are skipped and
+    Records missing developer_id, timestamp, or group, or whose timestamp
+    is not a number of seconds a UTC date can hold, are skipped and
     counted. Developers with no acceptances on a day produce no
     observation.
     """
@@ -185,7 +186,11 @@ def aggregate(records: Iterable[dict]) -> tuple[list[AbObservation], int]:
         if dev is None or ts is None or group is None:
             skipped += 1
             continue
-        day = datetime.fromtimestamp(float(ts), tz=timezone.utc).date().isoformat()
+        try:
+            day = datetime.fromtimestamp(float(ts), tz=timezone.utc).date().isoformat()
+        except (TypeError, ValueError, OverflowError, OSError):
+            skipped += 1
+            continue
         counts[(str(dev), day, str(group))] = counts.get((str(dev), day, str(group)), 0) + 1
     observations = [
         AbObservation(developer_id=dev, day=day, accept_count=c, group=group)

@@ -4,6 +4,11 @@ A recorded operation graph of Tensor nodes; calling backward() on a scalar
 loss topologically walks the graph and accumulates gradients into every
 requires_grad leaf. Only the operations the transformer needs are provided.
 Gradients of broadcast operands are summed back to the operand shape.
+
+The training loss is one fused op, cross_entropy (softmax, target gather,
+weighting and sum in one pass), which makes none of the logit-shaped
+intermediates of the unfused chain. backward() frees each non-leaf node's gradient as soon as
+that node's backward has run: after it returns, only leaves hold a .grad.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = None
 
     def __add__(self, other):
         return add(self, other)
@@ -68,8 +75,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not (t.requires_grad or t._parents):
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A copy, never an alias: add() hands one g to both of its parents.
+        t.grad = g.astype(t.data.dtype, copy=True)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -134,10 +143,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = np.matmul(a.data, b.data)
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accum(a, _unbroadcast(ga, a.data.shape))
-        _accum(b, _unbroadcast(gb, b.data.shape))
+        if b.data.ndim == 2 and a.data.ndim > 2:
+            # A weight shared over the batch: one GEMM per gradient over all
+            # rows, instead of one per batch entry summed afterwards.
+            rows_a = a.data.reshape(-1, a.data.shape[-1])
+            rows_g = g.reshape(-1, g.shape[-1])
+            ga = (rows_g @ b.data.T).reshape(a.data.shape)
+            gb = rows_a.T @ rows_g
+        else:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        _accum(a, ga)
+        _accum(b, gb)
 
     return Tensor(out_data, parents=(a, b), backward=backward) if _needs_graph(a, b) else Tensor(out_data)
 
@@ -177,12 +194,13 @@ def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     c = math.sqrt(2.0 / math.pi)
     x = a.data
-    inner = c * (x + 0.044715 * x**3)
+    x2 = x * x  # float32 x**3 goes through powf, many times slower
+    inner = c * (x + 0.044715 * (x2 * x))
     t = np.tanh(inner)
     out_data = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        dinner = c * (1.0 + 3 * 0.044715 * x**2)
+        dinner = c * (1.0 + 3 * 0.044715 * x2)
         da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
         _accum(a, g * da)
 
@@ -210,6 +228,34 @@ def log_softmax(a: Tensor) -> Tensor:
 
     def backward(g):
         _accum(a, g - sm * g.sum(axis=-1, keepdims=True))
+
+    return Tensor(out_data, parents=(a,), backward=backward) if _needs_graph(a) else Tensor(out_data)
+
+
+def cross_entropy(a: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted negative log-likelihood of targets under softmax over the
+    last axis: -sum(weights * log_softmax(a)[..., targets]), a scalar.
+
+    One op in place of log_softmax -> gather_last -> mul_const -> tsum, so
+    none of their arrays of a's shape, or gradients of them, are made; the
+    backward, (softmax - onehot) * weights * g, is computed in the op's own
+    exp buffer.
+    """
+    z = a.data
+    top = z.max(axis=-1, keepdims=True)
+    e = np.subtract(z, top)
+    np.exp(e, out=e)
+    total = e.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(z, targets[..., None], axis=-1)
+    logp = (picked - top - np.log(total))[..., 0]
+    out_data = np.asarray(-(weights * logp).sum())
+
+    def backward(g):
+        wg = (weights * g).astype(e.dtype)
+        np.multiply(e, wg[..., None] / total, out=e)
+        rows = e.reshape(-1, e.shape[-1])
+        rows[np.arange(rows.shape[0]), targets.reshape(-1)] -= wg.reshape(-1)
+        _accum(a, e)
 
     return Tensor(out_data, parents=(a,), backward=backward) if _needs_graph(a) else Tensor(out_data)
 

@@ -530,12 +530,22 @@ def cmd_abtest(args, config) -> int:
     if not log_path.exists():
         raise CliError(f"acceptance log not found: {log_path}")
     records = []
+    bad_lines = 0
     with open(log_path, encoding="utf-8") as fp:
         for line in fp:
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                record = None
+            if isinstance(record, dict):
+                records.append(record)
+            else:
+                bad_lines += 1
     observations, skipped = abtest_mod.aggregate(records)
+    skipped += bad_lines
     if skipped:
         print(f"abtest: skipped {skipped} malformed records", file=sys.stderr)
     by_group: dict[str, list] = {}

@@ -142,28 +142,43 @@ def _handle_line(
         request = RankRequest(
             request_id=str(payload["request_id"]),
             developer_id=str(payload.get("developer_id", "")),
-            context=tuple(payload.get("context", [])),
-            candidates=tuple(payload["candidates"]),
+            context=_strings(payload.get("context", []), "context"),
+            candidates=_strings(payload["candidates"], "candidates"),
         )
     except (KeyError, TypeError) as exc:
         return json.dumps({"error": "protocol", "detail": str(exc), "line": line_no})
     except ProtocolError as exc:
-        return json.dumps(
-            {
-                "error": "protocol",
-                "detail": str(exc),
-                "request_id": str(payload.get("request_id", "")),
-            }
+        return _request_error("protocol", exc, payload)
+    try:
+        response = rank(
+            request.candidates,
+            request.context,
+            score_fn,
+            threshold=threshold,
+            max_promote=max_promote,
+            request_id=request.request_id,
         )
-    response = rank(
-        request.candidates,
-        request.context,
-        score_fn,
-        threshold=threshold,
-        max_promote=max_promote,
-        request_id=request.request_id,
-    )
+    except ValueError as exc:
+        # The model cannot score this request (an empty context for the
+        # transformer); the next line is still served.
+        return _request_error("model", exc, payload)
     return response.to_json()
+
+
+def _strings(value, name: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ProtocolError(f"{name} must be a list of strings")
+    return tuple(value)
+
+
+def _request_error(kind: str, exc: Exception, payload: dict) -> str:
+    return json.dumps(
+        {
+            "error": kind,
+            "detail": str(exc),
+            "request_id": str(payload.get("request_id", "")),
+        }
+    )
 
 
 def serve_stream(

@@ -151,6 +151,8 @@ def _logits(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     b, length = ids.shape
+    if length == 0:
+        raise ValueError("empty id sequence")
     if length > config.context_len:
         raise ValueError(
             f"sequence length {length} exceeds context_len {config.context_len}"
@@ -227,11 +229,9 @@ def loss(
     if n_real == 0:
         raise ValueError("loss undefined: batch contains only pad targets")
     logits = _logits(params, inputs, config, pad_id=pad_id, rng=rng)
-    logp = ag.log_softmax(logits)
-    picked = ag.gather_last(logp, targets)
     dtype = params["tok_emb"].data.dtype
-    masked = ag.mul_const(picked, target_mask.astype(dtype))
-    return ag.scale(ag.tsum(masked), -1.0 / n_real)
+    nll = ag.cross_entropy(logits, targets, target_mask.astype(dtype))
+    return ag.scale(nll, 1.0 / n_real)
 
 
 def grad_check(
@@ -388,6 +388,26 @@ def _mean_valid_loss(
     return total / weight
 
 
+def _train_step(
+    params: TransformerParams,
+    opt: ag.Adam,
+    batch: np.ndarray,
+    config: TransformerConfig,
+    pad_id: int,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """One optimizer step on one batch; returns its loss, and skips the
+    update when that loss is not finite. The step's graph dies with this
+    frame, so it is not kept alive while the next graph is built."""
+    opt.zero_grad()
+    out = loss(params, batch, config, pad_id=pad_id, rng=rng)
+    value = float(out.data)
+    if math.isfinite(value):
+        out.backward()
+        opt.step()
+    return value
+
+
 def train(
     config: TransformerConfig,
     train_sequences: Sequence[Sequence[int]],
@@ -423,21 +443,18 @@ def train(
             n_real = int((batch[:, 1:] != pad_id).sum())
             if n_real == 0:
                 continue
-            opt.zero_grad()
-            out = loss(
+            value = _train_step(
                 params,
+                opt,
                 batch,
                 config,
-                pad_id=pad_id,
+                pad_id,
                 rng=dropout_rng if config.dropout > 0 else None,
             )
-            value = float(out.data)
             if not math.isfinite(value):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch}", log
                 )
-            out.backward()
-            opt.step()
             epoch_total += value * n_real
             epoch_weight += n_real
         train_loss = epoch_total / max(epoch_weight, 1)
@@ -481,13 +498,9 @@ def train_steps(
     batches = _batches(arr, config.batch_size, rng=None)
     for step in range(steps):
         batch = batches[step % len(batches)]
-        opt.zero_grad()
-        out = loss(params, batch, config, pad_id=pad_id)
-        value = float(out.data)
+        value = _train_step(params, opt, batch, config, pad_id)
         if not math.isfinite(value):
             raise DivergenceError(f"non-finite loss at step {step}")
-        out.backward()
-        opt.step()
         losses.append(value)
     return losses
 

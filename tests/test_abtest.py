@@ -103,6 +103,24 @@ def test_aggregate_skips_malformed():
     assert aggregate([]) == ([], 0)
 
 
+@pytest.mark.parametrize("bad_ts", ["x", [1], 1e20, float("inf"), float("nan")])
+def test_aggregate_skips_bad_timestamp(bad_ts):
+    day = 86400.0 * 18000
+    valid = [
+        {"developer_id": dev, "timestamp": day + i, "group": group}
+        for i, (dev, group) in enumerate(
+            [("A", "c"), ("A", "c"), ("B", "c"), ("C", "e"), ("D", "e"), ("D", "e")]
+        )
+    ]
+    bad = {"developer_id": "A", "timestamp": bad_ts, "group": "c"}
+    observations, skipped = aggregate(valid[:3] + [bad] + valid[3:])
+    assert skipped == 1
+    assert observations == aggregate(valid)[0]
+    by_group = {g: [o for o in observations if o.group == g] for g in ("c", "e")}
+    expected = {g: [o for o in aggregate(valid)[0] if o.group == g] for g in ("c", "e")}
+    assert compare(by_group["c"], by_group["e"]) == compare(expected["c"], expected["e"])
+
+
 # ---------------------------------------------------------------- statistics
 
 

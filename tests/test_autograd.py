@@ -94,6 +94,27 @@ def test_gather_last():
     _check(lambda a: ag.gather_last(a, idx), rng.standard_normal((2, 2, 4)))
 
 
+def test_cross_entropy():
+    targets = np.array([[0, 2, 5], [3, 1, 1]])
+    weights = np.array([[1.0, 0.0, 0.5], [1.0, 1.0, 0.0]])  # zeros as at pads
+    _check(
+        lambda a: ag.cross_entropy(a, targets, weights),
+        rng.standard_normal((2, 3, 6)),
+    )
+
+
+def test_matmul_weight_grad_is_sum_of_batched_products():
+    a_data = rng.standard_normal((3, 4, 5))
+    b_data = rng.standard_normal((5, 2))
+    upstream = rng.standard_normal((3, 4, 2))
+    a = Tensor(a_data, requires_grad=True)
+    b = Tensor(b_data, requires_grad=True)
+    ag.tsum(ag.mul_const(ag.matmul(a, b), upstream)).backward()
+    batched_gb = np.matmul(np.swapaxes(a_data, -1, -2), upstream).sum(axis=0)
+    np.testing.assert_allclose(b.grad, batched_gb, rtol=1e-12)
+    np.testing.assert_allclose(a.grad, np.matmul(upstream, b_data.T), rtol=1e-12)
+
+
 def test_add_const_and_scale():
     c = rng.standard_normal((3, 3))
     _check(lambda a: ag.scale(ag.add_const(a, c), 1.7), rng.standard_normal((3, 3)))
@@ -109,6 +130,63 @@ def test_grad_accumulates_over_shared_use():
     out = ag.tsum(ag.add(ag.mul(x, x), x))  # x^2 + x -> 2x + 1
     out.backward()
     np.testing.assert_allclose(x.grad, [5.0, 7.0])
+
+
+def test_first_gradient_is_copied_not_aliased():
+    # add() hands one g to both parents; a later += into a's gradient must
+    # not leak into b's.
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    ag.tsum(ag.add(ag.add(a, b), a)).backward()
+    np.testing.assert_allclose(a.grad, [2.0, 2.0])
+    np.testing.assert_allclose(b.grad, [1.0, 1.0])
+
+
+def _graph_nodes(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _backward_keeping_grads(root):
+    """Reference walk that leaves every intermediate gradient in place."""
+    order, seen = [], set()
+
+    def visit(node):
+        if id(node) not in seen:
+            seen.add(id(node))
+            for parent in node._parents:
+                visit(parent)
+            order.append(node)
+
+    visit(root)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def test_backward_frees_intermediate_grads_only():
+    def build():
+        r = np.random.default_rng(5)
+        x = Tensor(r.standard_normal((2, 3, 4)), requires_grad=True)
+        w = Tensor(r.standard_normal((4, 4)), requires_grad=True)
+        h = ag.gelu(ag.matmul(x, w))
+        out = ag.tsum(ag.mul(ag.softmax(ag.add(h, x)), h))
+        return out, (x, w)
+
+    out, leaves = build()
+    out.backward()
+    assert all(n.grad is None for n in _graph_nodes(out) if n._parents)
+    ref_out, ref_leaves = build()
+    _backward_keeping_grads(ref_out)
+    for leaf, ref in zip(leaves, ref_leaves):
+        np.testing.assert_array_equal(leaf.grad, ref.grad)
 
 
 def test_backward_requires_scalar():

@@ -163,6 +163,26 @@ def test_serve_empty_candidates_protocol_error():
     assert out[0]["request_id"] == "x"
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"candidates": "abc"},  # a string, not split into characters
+        {"candidates": [1, "a"]},  # a non-string candidate
+        {"candidates": ["map"], "context": "x ="},
+        {"candidates": ["map"], "context": ["x", 2]},
+    ],
+    ids=["string-candidates", "int-candidate", "string-context", "int-in-context"],
+)
+def test_serve_rejects_malformed_request_and_keeps_going(bad):
+    valid = {"request_id": "ok", "context": ["x"], "candidates": ["map", "zip"]}
+    out = _serve_lines([json.dumps({"request_id": "bad"} | bad), json.dumps(valid)])
+    assert len(out) == 2
+    assert out[0]["error"] == "protocol"
+    assert out[0]["request_id"] == "bad"
+    assert out[1]["request_id"] == "ok"
+    assert out[1]["ranked"] == ["map", "zip"]
+
+
 def test_serve_many_requests_in_order():
     requests = [
         json.dumps({"request_id": f"r{i}", "candidates": ["map", "zip"]})

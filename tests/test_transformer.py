@@ -1,10 +1,14 @@
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from complab import autograd as ag
 from complab import transformer as tf
 from complab.bpe import BpeModel, subtoken_vocab
+from complab.ranker import serve_stream
 from complab.transformer import (
     DivergenceError,
     EarlyStopper,
@@ -109,6 +113,52 @@ def test_loss_excludes_pad_targets():
     a = float(loss(params, batch_plain, CONFIG).data)
     b = float(loss(params, batch_padded, CONFIG).data)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def _composite_loss(params, batch, config, pad_id=1):
+    """The unfused loss: log_softmax, gather, pad mask, sum."""
+    inputs, targets = batch[:, :-1], batch[:, 1:]
+    mask = (targets != pad_id).astype(np.float64)
+    logp = ag.log_softmax(tf._logits(params, inputs, config, pad_id=pad_id))
+    picked = ag.mul_const(ag.gather_last(logp, targets), mask)
+    return ag.scale(ag.tsum(picked), -1.0 / mask.sum())
+
+
+def test_loss_equals_unfused_composite():
+    params = init_params(CONFIG, dtype=np.float64)
+    rng = np.random.default_rng(6)
+    batch = rng.integers(2, 50, size=(3, 11))
+    batch[0, 6:] = 1
+    batch[2, 9:] = 1
+    fused = loss(params, batch, CONFIG)
+    fused.backward()
+    fused_grads = {k: p.grad for k, p in params.items()}
+    for p in params.values():
+        p.grad = None
+    composite = _composite_loss(params, batch, CONFIG)
+    composite.backward()
+    assert abs(float(fused.data) - float(composite.data)) <= 1e-12
+    for name, p in params.items():
+        np.testing.assert_allclose(fused_grads[name], p.grad, rtol=1e-9, atol=1e-14)
+
+
+def test_serve_transformer_empty_context_keeps_going():
+    vocab = _vocab(["a", "b", "c"])
+    config = small_config(vocab_size=len(vocab), context_len=8, seed=0)
+    completer = tf.TransformerCompleter(
+        init_params(config, dtype=np.float32), config, vocab
+    )
+    lines = [
+        {"request_id": "empty", "context": [], "candidates": ["a", "b"]},
+        {"request_id": "ok", "context": ["a"], "candidates": ["b", "c"]},
+    ]
+    reader = io.StringIO("".join(json.dumps(l) + "\n" for l in lines))
+    writer = io.StringIO()
+    assert serve_stream(completer.prob, reader, writer) == 2
+    first, second = [json.loads(l) for l in writer.getvalue().splitlines()]
+    assert first == {"error": "model", "detail": "empty id sequence", "request_id": "empty"}
+    assert second["request_id"] == "ok"
+    assert sorted(second["ranked"]) == ["b", "c"]
 
 
 def test_loss_all_pad_targets_error():
