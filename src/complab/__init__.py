@@ -21,6 +21,7 @@ from .corpus import (
     split,
     union,
 )
+from .completer import Completer
 from .datagen import DomainProfile, default_profiles, generate
 from .ngram import NgramCompleter, NgramModel, ngram_prob, ngram_topk, train_ngram
 from .transformer import (
@@ -30,7 +31,6 @@ from .transformer import (
     grad_check,
     loss,
     train,
-    transformer_topk,
 )
 from .evalsuite import EvalReport, evaluate
 from .ranker import RankRequest, RankResponse, rank

@@ -238,10 +238,11 @@ def compare(
     return AbReport(control=cs, experiment=es, improvement=improvement, p_value=p)
 
 
-def write_report_json(report: AbReport, path: str | Path) -> None:
+def write_report_json(reports: dict[str, AbReport], path: str | Path) -> None:
+    """One object keyed by experiment group, each holding its report."""
+    payload = {label: report.to_dict() for label, report in reports.items()}
     Path(path).write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
+        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
 

@@ -140,13 +140,17 @@ def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = np.matmul(a.data, b.data)
+    # A weight shared over the batch is applied to all rows in one GEMM,
+    # forward and backward, instead of one per batch entry.
+    shared_weight = b.data.ndim == 2 and a.data.ndim > 2
+    if shared_weight:
+        rows_a = a.data.reshape(-1, a.data.shape[-1])
+        out_data = (rows_a @ b.data).reshape(*a.data.shape[:-1], b.data.shape[-1])
+    else:
+        out_data = np.matmul(a.data, b.data)
 
     def backward(g):
-        if b.data.ndim == 2 and a.data.ndim > 2:
-            # A weight shared over the batch: one GEMM per gradient over all
-            # rows, instead of one per batch entry summed afterwards.
-            rows_a = a.data.reshape(-1, a.data.shape[-1])
+        if shared_weight:
             rows_g = g.reshape(-1, g.shape[-1])
             ga = (rows_g @ b.data.T).reshape(a.data.shape)
             gb = rows_a.T @ rows_g

@@ -29,23 +29,26 @@ from .evalsuite import evaluate
 from .lexer import dump_tokens
 from .vocab import load_vocab, save_vocab
 
-DEFAULTS = {
-    "seed": 7,
-    "files": None,
-    "tokens_per_file": None,
-    "event_rate": None,
-    "max_size": 100_000,
-    "bpe_vocab_size": 10_000,
-    "order": 4,
-    "window": 100,
-    "profile": "test",
-    "n_examples": 1000,
-    "cutoff": 10,
-    "threshold": 0.1,
-    "max_promote": 3,
-    "budget_tokens": None,
-    "epochs": None,
+# Every key a --config file may set: its type and built-in default (None:
+# unset unless given).
+CONFIG_KEYS: dict[str, tuple[type, object]] = {
+    "seed": (int, 7),
+    "files": (int, None),
+    "tokens_per_file": (int, None),
+    "event_rate": (float, None),
+    "max_size": (int, 100_000),
+    "bpe_vocab_size": (int, 10_000),
+    "order": (int, 4),
+    "window": (int, 100),
+    "profile": (str, "test"),
+    "n_examples": (int, 1000),
+    "cutoff": (int, 10),
+    "threshold": (float, 0.1),
+    "max_promote": (int, 3),
+    "budget_tokens": (int, None),
+    "epochs": (int, None),
 }
+DEFAULTS = {key: default for key, (_, default) in CONFIG_KEYS.items()}
 
 
 class CliError(RuntimeError):
@@ -62,7 +65,22 @@ def _load_config(path: str | None) -> dict:
         config = json.load(fp)
     if not isinstance(config, dict):
         raise CliError("config file must contain a JSON object")
-    return config
+    checked = {}
+    for key, value in config.items():
+        if key not in CONFIG_KEYS:
+            raise CliError(f"unknown config key {key!r}")
+        kind, default = CONFIG_KEYS[key]
+        # JSON has no int/float split; a bool is never a number here.
+        accepted = (int, float) if kind is float else kind
+        if value is None and default is None:
+            checked[key] = None
+        elif isinstance(value, accepted) and not isinstance(value, bool):
+            checked[key] = kind(value)
+        else:
+            raise CliError(
+                f"config key {key!r} must be of type {kind.__name__}, got {value!r}"
+            )
+    return checked
 
 
 def _resolve(args: argparse.Namespace, config: dict, key: str):
@@ -484,6 +502,10 @@ def cmd_analyze(args, config) -> int:
 def cmd_serve(args, config) -> int:
     threshold = _resolve(args, config, "threshold")
     max_promote = _resolve(args, config, "max_promote")
+    if not 0.0 <= threshold <= 1.0:
+        raise CliError(f"threshold must be in [0, 1], got {threshold}")
+    if max_promote < 0:
+        raise CliError(f"max_promote must be >= 0, got {max_promote}")
     model_path = Path(args.model)
     if not model_path.exists():
         raise CliError(f"model file not found: {model_path}")
@@ -501,7 +523,7 @@ def cmd_serve(args, config) -> int:
     if args.tcp:
         host, _, port = args.tcp.partition(":")
         server = ranker.serve_tcp(
-            completer.prob,
+            completer.scores,
             host=host or "127.0.0.1",
             port=int(port or 0),
             threshold=threshold,
@@ -515,7 +537,7 @@ def cmd_serve(args, config) -> int:
             server.server_close()
         return 0
     ranker.serve_stream(
-        completer.prob,
+        completer.scores,
         sys.stdin,
         sys.stdout,
         threshold=threshold,
@@ -565,10 +587,7 @@ def cmd_abtest(args, config) -> int:
             f"{report.improvement:+.4f}, p={report.p_value:.4f}"
         )
     out_json = Path(args.json) if args.json else log_path.with_suffix(".report.json")
-    payload = {name: r.to_dict() for name, r in reports.items()}
-    with open(out_json, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, sort_keys=True, indent=2)
-        fp.write("\n")
+    abtest_mod.write_report_json(reports, out_json)
     if args.csv:
         abtest_mod.write_report_csv(reports, args.csv)
     return 0

@@ -1,6 +1,6 @@
 """Offline evaluation: top-1 accuracy and mean reciprocal rank with a
-top-10 cutoff, over evaluation examples and any model exposing a
-topk(context_texts, k) -> [(text, prob), ...] callable.
+top-10 cutoff, over evaluation examples and the
+topk(context_texts, k) -> [(text, prob), ...] of any `Completer`.
 
 A target whose rank exceeds the cutoff, or that the model cannot emit at
 all (out of vocabulary), scores zero and is recorded as a miss.

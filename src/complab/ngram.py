@@ -15,6 +15,12 @@ recursion terminates at a unigram distribution over continuation counts
 interpolated with the uniform distribution over non-special vocabulary ids,
 so every conditional distribution sums to one exactly and every non-special
 token has positive probability.
+
+`ngram_distribution` builds the whole next-token vector from per-context
+arrays (backoff weight, token ids, discounted counts), made with numpy from
+the count tables on every call and not kept. `ngram_prob` computes one
+probability by the direct formula; it is the reference the vector is tested
+against.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .completer import Completer, top_ids
 from .vocab import Vocabulary
 
 log = logging.getLogger(__name__)
@@ -55,7 +62,6 @@ class NgramModel:
     unigram_type_counts: tuple[int, int, int]
     discounts: dict[int, tuple[float, float, float]]
     _unigram_vec: np.ndarray | None = field(default=None, repr=False)
-    _lex_rank: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def base_size(self) -> int:
@@ -65,17 +71,6 @@ class NgramModel:
         if self._unigram_vec is None:
             self._unigram_vec = _unigram_distribution(self)
         return self._unigram_vec
-
-    def lex_rank(self) -> np.ndarray:
-        """Rank of each id's text in ascending lexicographic order."""
-        if self._lex_rank is None:
-            size = len(self.vocab_ref)
-            order = sorted(range(size), key=lambda i: self.vocab_ref.text(i))
-            rank = np.empty(size, dtype=np.int64)
-            for r, token_id in enumerate(order):
-                rank[token_id] = r
-            self._lex_rank = rank
-        return self._lex_rank
 
 
 def _strip_pads(seq: Sequence[int], pad_id: int) -> Sequence[int]:
@@ -190,6 +185,13 @@ def _discount_for(c: int, d: tuple[float, float, float]) -> float:
     return d[2]
 
 
+def _backoff_weight(
+    d: tuple[float, float, float], type_counts: tuple[int, int, int], total: int
+) -> float:
+    n1, n2, n3p = type_counts
+    return (d[0] * n1 + d[1] * n2 + d[2] * n3p) / total
+
+
 def _base_prob(model: NgramModel, token: int) -> float:
     if token in (model.vocab_ref.unk_id, model.vocab_ref.pad_id):
         return 0.0
@@ -203,8 +205,7 @@ def _unigram_prob(model: NgramModel, token: int) -> float:
         return _base_prob(model, token)
     d = model.discounts[1]
     c = model.unigram_counts.get(token, 0)
-    n1, n2, n3p = model.unigram_type_counts
-    gamma = (d[0] * n1 + d[1] * n2 + d[2] * n3p) / model.unigram_total
+    gamma = _backoff_weight(d, model.unigram_type_counts, model.unigram_total)
     return (
         max(c - _discount_for(c, d), 0.0) / model.unigram_total
         + gamma * _base_prob(model, token)
@@ -229,8 +230,7 @@ def ngram_prob(model: NgramModel, context: Sequence[int], token: int) -> float:
             continue
         total = level.totals[ctx]
         d = model.discounts[s + 1]
-        n1, n2, n3p = level.type_counts[ctx]
-        gamma = (d[0] * n1 + d[1] * n2 + d[2] * n3p) / total
+        gamma = _backoff_weight(d, level.type_counts[ctx], total)
         c = ws.get(token, 0)
         p = max(c - _discount_for(c, d), 0.0) / total + gamma * p
     return p
@@ -246,31 +246,46 @@ def _unigram_distribution(model: NgramModel) -> np.ndarray:
     if model.unigram_total == 0:
         return base
     d = model.discounts[1]
-    n1, n2, n3p = model.unigram_type_counts
-    gamma = (d[0] * n1 + d[1] * n2 + d[2] * n3p) / model.unigram_total
+    gamma = _backoff_weight(d, model.unigram_type_counts, model.unigram_total)
     vec = gamma * base
     for token, c in model.unigram_counts.items():
         vec[token] += max(c - _discount_for(c, d), 0.0) / model.unigram_total
     return vec
 
 
+def _context_arrays(
+    model: NgramModel, ctx: tuple[int, ...]
+) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """(gamma, ids, discounted) of a context seen in training, None for one
+    never seen. Same arithmetic as `ngram_prob`, elementwise."""
+    level = model.levels[len(ctx) + 1]
+    ws = level.contexts.get(ctx)
+    if ws is None:
+        return None
+    total = level.totals[ctx]
+    d = model.discounts[len(ctx) + 1]
+    counts = np.fromiter(ws.values(), dtype=np.int64, count=len(ws))
+    discount = np.array(d)[np.minimum(counts, 3) - 1]  # stored counts are >= 1
+    return (
+        _backoff_weight(d, level.type_counts[ctx], total),
+        np.fromiter(ws.keys(), dtype=np.int64, count=len(ws)),
+        np.maximum(counts - discount, 0.0) / total,
+    )
+
+
 def ngram_distribution(model: NgramModel, context: Sequence[int]) -> np.ndarray:
-    """Full next-token distribution, vectorized over the vocabulary."""
+    """Full next-token distribution, vectorized over the vocabulary; a fresh
+    array on every call. Each seen context level, shortest first, scales
+    the vector by its backoff weight and adds its discounted counts."""
     h = tuple(context)[-(model.order - 1) :]
     vec = model.unigram_vector().copy()
     for s in range(1, len(h) + 1):
-        ctx = h[-s:]
-        level = model.levels[s + 1]
-        ws = level.contexts.get(ctx)
-        if ws is None:
+        arrays = _context_arrays(model, h[-s:])
+        if arrays is None:
             continue
-        total = level.totals[ctx]
-        d = model.discounts[s + 1]
-        n1, n2, n3p = level.type_counts[ctx]
-        gamma = (d[0] * n1 + d[1] * n2 + d[2] * n3p) / total
+        gamma, ids, discounted = arrays
         vec *= gamma
-        for token, c in ws.items():
-            vec[token] += max(c - _discount_for(c, d), 0.0) / total
+        vec[ids] += discounted
     return vec
 
 
@@ -279,36 +294,29 @@ def ngram_topk(
 ) -> list[tuple[int, float]]:
     """Top-k candidates by probability; ties broken by ascending token
     text; `<unk>` and `<pad>` are never proposed."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    vec = ngram_distribution(model, context)
-    vec[model.vocab_ref.unk_id] = -1.0
-    vec[model.vocab_ref.pad_id] = -1.0
-    order = np.lexsort((model.lex_rank(), -vec))
-    return [
-        (int(token_id), float(vec[token_id]))
-        for token_id in order[: min(k, model.base_size)]
-    ]
+    return top_ids(ngram_distribution(model, context), model.vocab_ref, k)
 
 
-class NgramCompleter:
+class NgramCompleter(Completer):
     """Text-level adapter: encodes contexts with the model's vocabulary."""
 
     def __init__(self, model: NgramModel):
         self.model = model
+        self.vocab = model.vocab_ref
+
+    def _ids(self, context_texts: Sequence[str]) -> list[int]:
+        return [self.vocab.id(t) for t in context_texts]
+
+    def distribution(self, context_texts: Sequence[str]) -> np.ndarray:
+        return ngram_distribution(self.model, self._ids(context_texts))
 
     def topk(self, context_texts: Sequence[str], k: int) -> list[tuple[str, float]]:
-        ids = [self.model.vocab_ref.id(t) for t in context_texts]
+        # Through ngram_topk, the id-level query, which the benchmark's
+        # trace splits into distribution build and top-k selection.
         return [
-            (self.model.vocab_ref.text(i), p)
-            for i, p in ngram_topk(self.model, ids, k)
+            (self.vocab.text(i), p)
+            for i, p in ngram_topk(self.model, self._ids(context_texts), k)
         ]
-
-    def prob(self, context_texts: Sequence[str], candidate: str) -> float:
-        if candidate not in self.model.vocab_ref:
-            return 0.0
-        ids = [self.model.vocab_ref.id(t) for t in context_texts]
-        return ngram_prob(self.model, ids, self.model.vocab_ref.id(candidate))
 
 
 # --------------------------------------------------------------------------

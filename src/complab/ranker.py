@@ -6,6 +6,10 @@ remaining candidates stay in ascending alphabetical order, matching the
 behavior of an IDE dropdown that is alphabetical by default. Acceptance
 events are appended to a line-delimited JSON log for downstream experiment
 analysis.
+
+The model is a score function `(context, candidates) -> probabilities`, one
+per candidate in order, called once per request: `Completer.scores`, which
+reads every candidate from one next-token distribution.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Sequence
 
-ScoreFn = Callable[[Sequence[str], str], float]
+ScoreFn = Callable[[Sequence[str], Sequence[str]], Sequence[float]]
 
 DEFAULT_THRESHOLD = 0.1
 DEFAULT_MAX_PROMOTE = 3
@@ -79,7 +83,8 @@ def rank(
         raise ProtocolError("candidates must be non-empty")
     if len(set(candidates)) != len(candidates):
         raise ProtocolError("candidates must be unique")
-    scores = {c: float(score_fn(context, c)) for c in candidates}
+    values = score_fn(context, candidates)
+    scores = dict(zip(candidates, map(float, values), strict=True))
     eligible = [c for c in candidates if scores[c] > threshold]
     promoted = sorted(eligible, key=lambda c: (-scores[c], c))[:max_promote]
     promoted_set = set(promoted)

@@ -5,7 +5,8 @@ self-attention blocks with GELU feed-forward, and an untied softmax head.
 Training runs Adam with linear warmup and gradient clipping, early-stopped
 on validation loss with patience 2 and a hard cap of 15 epochs. Double
 precision is used for gradient checking; single precision is the training
-default.
+default. Inference and validation forwards run on a detached view of the
+parameters, so they record no autograd graph.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .completer import Completer
 from .vocab import Vocabulary
 
 MAX_EPOCHS = 15
@@ -198,6 +200,11 @@ def _logits(
     return ag.matmul(x, params["w_out"])
 
 
+def _detached(params: TransformerParams) -> TransformerParams:
+    """The same arrays as plain tensors: ops on them record no graph."""
+    return {name: Tensor(p.data) for name, p in params.items()}
+
+
 def forward(
     params: TransformerParams,
     ids: Sequence[int],
@@ -206,7 +213,7 @@ def forward(
 ) -> np.ndarray:
     """Next-token probability rows for one id sequence: shape (L, vocab)."""
     arr = np.asarray(ids, dtype=np.int64)[None, :]
-    logits = _logits(params, arr, config, pad_id=pad_id).data[0]
+    logits = _logits(_detached(params), arr, config, pad_id=pad_id).data[0]
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -375,13 +382,14 @@ def _mean_valid_loss(
     config: TransformerConfig,
     pad_id: int,
 ) -> float:
+    detached = _detached(params)
     total = 0.0
     weight = 0
     for batch in _batches(valid, config.batch_size, rng=None):
         n_real = int((batch[:, 1:] != pad_id).sum())
         if n_real == 0:
             continue
-        total += float(loss(params, batch, config, pad_id=pad_id).data) * n_real
+        total += float(loss(detached, batch, config, pad_id=pad_id).data) * n_real
         weight += n_real
     if weight == 0:
         raise ValueError("validation split contains only pad targets")
@@ -510,36 +518,9 @@ def train_steps(
 # --------------------------------------------------------------------------
 
 
-def transformer_topk(
-    params: TransformerParams,
-    context_ids: Sequence[int],
-    k: int,
-    config: TransformerConfig,
-    vocab: Vocabulary,
-) -> list[tuple[int, float]]:
-    """Top-k next tokens after the context; specials excluded, ties by
-    ascending token text."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not context_ids:
-        raise ValueError("context must be non-empty")
-    ids = list(context_ids)[-config.context_len :]
-    probs = forward(params, ids, config, pad_id=vocab.pad_id)[-1].astype(np.float64)
-    probs[vocab.unk_id] = -1.0
-    probs[vocab.pad_id] = -1.0
-    size = len(vocab)
-    lex = sorted(range(size), key=lambda i: vocab.text(i))
-    rank = np.empty(size, dtype=np.int64)
-    for r, token_id in enumerate(lex):
-        rank[token_id] = r
-    order = np.lexsort((rank, -probs))
-    return [
-        (int(i), float(probs[i])) for i in order[: min(k, size - 2)]
-    ]
-
-
-class TransformerCompleter:
-    """Text-level adapter over a whole-token transformer."""
+class TransformerCompleter(Completer):
+    """Whole-token transformer behind the Completer interface: one forward
+    per distribution."""
 
     def __init__(
         self, params: TransformerParams, config: TransformerConfig, vocab: Vocabulary
@@ -547,37 +528,12 @@ class TransformerCompleter:
         self.params = params
         self.config = config
         self.vocab = vocab
-        self._lex_rank: np.ndarray | None = None
 
-    def _rank(self) -> np.ndarray:
-        if self._lex_rank is None:
-            size = len(self.vocab)
-            lex = sorted(range(size), key=lambda i: self.vocab.text(i))
-            self._lex_rank = np.empty(size, dtype=np.int64)
-            for r, token_id in enumerate(lex):
-                self._lex_rank[token_id] = r
-        return self._lex_rank
-
-    def _distribution(self, context_texts: Sequence[str]) -> np.ndarray:
+    def distribution(self, context_texts: Sequence[str]) -> np.ndarray:
         ids = [self.vocab.id(t) for t in context_texts][-self.config.context_len :]
         return forward(self.params, ids, self.config, pad_id=self.vocab.pad_id)[
             -1
         ].astype(np.float64)
-
-    def topk(self, context_texts: Sequence[str], k: int) -> list[tuple[str, float]]:
-        probs = self._distribution(context_texts)
-        probs[self.vocab.unk_id] = -1.0
-        probs[self.vocab.pad_id] = -1.0
-        order = np.lexsort((self._rank(), -probs))
-        return [
-            (self.vocab.text(int(i)), float(probs[i]))
-            for i in order[: min(k, len(self.vocab) - 2)]
-        ]
-
-    def prob(self, context_texts: Sequence[str], candidate: str) -> float:
-        if candidate not in self.vocab:
-            return 0.0
-        return float(self._distribution(context_texts)[self.vocab.id(candidate)])
 
 
 class BpeTransformerCompleter:

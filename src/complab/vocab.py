@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .lexer import Token
 
 UNK = "<unk>"
@@ -26,6 +28,9 @@ class Vocabulary:
     unk_id: int = 0
     pad_id: int = 1
     text_of: dict[int, str] = field(default_factory=dict)
+    _lex_rank: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.id_of.get(UNK) != self.unk_id or self.id_of.get(PAD) != self.pad_id:
@@ -46,6 +51,16 @@ class Vocabulary:
 
     def text(self, token_id: int) -> str:
         return self.text_of[token_id]
+
+    def lex_rank(self) -> np.ndarray:
+        """Rank of each id's text in ascending text order, the tie-break of
+        every top-k; built on first use."""
+        if self._lex_rank is None:
+            order = sorted(range(len(self)), key=self.text)
+            rank = np.empty(len(self), dtype=np.int64)
+            rank[order] = np.arange(len(self))
+            object.__setattr__(self, "_lex_rank", rank)
+        return self._lex_rank
 
 
 def _texts(tokens: Iterable[Token | str]) -> Iterable[str]:

@@ -237,25 +237,27 @@ def test_report_writers(tmp_path):
     control = _obs([10, 12, 11, 13], "control", dev_prefix="c")
     experiment = _obs([12, 14, 13, 15], "exp", dev_prefix="e")
     report = compare(control, experiment)
-    write_report_json(report, tmp_path / "report.json")
+    write_report_json({"exp": report}, tmp_path / "report.json")
     write_report_csv({"exp": report}, tmp_path / "report.csv")
     assert (tmp_path / "report.json").read_text().startswith("{")
     c, e = report.control, report.experiment
     assert json.loads((tmp_path / "report.json").read_text()) == {
-        "control": {
-            "observations": 4,
-            "mean": c.mean,
-            "std_dev": c.std_dev,
-            "unique_developers": 4,
+        "exp": {
+            "control": {
+                "observations": 4,
+                "mean": c.mean,
+                "std_dev": c.std_dev,
+                "unique_developers": 4,
+            },
+            "experiment": {
+                "observations": 4,
+                "mean": e.mean,
+                "std_dev": e.std_dev,
+                "unique_developers": 4,
+            },
+            "improvement": report.improvement,
+            "p_value": report.p_value,
         },
-        "experiment": {
-            "observations": 4,
-            "mean": e.mean,
-            "std_dev": e.std_dev,
-            "unique_developers": 4,
-        },
-        "improvement": report.improvement,
-        "p_value": report.p_value,
     }
     lines = (tmp_path / "report.csv").read_text().strip().splitlines()
     assert lines[0].startswith("group,observations,mean")

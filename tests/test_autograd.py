@@ -115,6 +115,18 @@ def test_matmul_weight_grad_is_sum_of_batched_products():
     np.testing.assert_allclose(a.grad, np.matmul(upstream, b_data.T), rtol=1e-12)
 
 
+@pytest.mark.parametrize("width", [512, 2927])
+def test_matmul_shared_weight_forward_is_bit_equal_to_batched(width):
+    # Desk shapes: 32 windows of 99 positions, d_model 128, by the
+    # feed-forward weight (512) and by an output head (V = 2927).
+    data_rng = np.random.default_rng(11)
+    a = data_rng.standard_normal((32, 99, 128)).astype(np.float32)
+    b = (data_rng.standard_normal((128, width)) * 0.02).astype(np.float32)
+    out = ag.matmul(Tensor(a), Tensor(b)).data
+    assert out.shape == (32, 99, width)
+    assert np.array_equal(out, np.matmul(a, b))
+
+
 def test_add_const_and_scale():
     c = rng.standard_normal((3, 3))
     _check(lambda a: ag.scale(ag.add_const(a, c), 1.7), rng.standard_normal((3, 3)))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from complab.abtest import AbObservation, compare
-from complab.cli import main
+from complab.cli import _load_config, main
 from complab.transformer import load_params
 from complab.vocab import load_vocab
 
@@ -117,3 +117,65 @@ def test_transformer_path_end_to_end(tmp_path, monkeypatch, capsys):
     assert sorted(ok["ranked"]) == sorted(words[1:])
     assert empty["error"] == "model"
     assert empty["request_id"] == "empty"
+
+
+def _run_with_config(tmp_path, capsys, config, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["--config", str(path), *argv])
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_config_rejects_unknown_key_before_any_work(tmp_path, capsys):
+    out = tmp_path / "ws"
+    rc, stdout, stderr = _run_with_config(
+        tmp_path, capsys, {"sed": 3}, ["datagen", "--out", str(out)]
+    )
+    assert rc == 1
+    assert stderr.startswith("error: ") and "'sed'" in stderr
+    assert "Traceback" not in stderr and stdout == ""
+    assert not out.exists()
+
+
+def test_config_rejects_wrong_types(tmp_path, capsys):
+    for config in ({"threshold": "x"}, {"seed": "7"}, {"max_promote": 1.5},
+                   {"order": True}, {"threshold": None}, {"profile": 3}):
+        rc, stdout, stderr = _run_with_config(
+            tmp_path, capsys, config, ["serve", "--model", str(tmp_path / "none.json")]
+        )
+        assert rc == 1, config
+        (key,) = config
+        assert stderr.startswith("error: config key") and repr(key) in stderr, stderr
+        assert "Traceback" not in stderr and stdout == ""
+
+
+def test_config_accepts_declared_types(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps({"threshold": 1, "seed": 3, "files": None, "profile": "desk"}),
+        encoding="utf-8",
+    )
+    config = _load_config(str(path))
+    assert config == {"threshold": 1.0, "seed": 3, "files": None, "profile": "desk"}
+    assert isinstance(config["threshold"], float)
+
+
+def test_serve_rejects_bad_threshold_and_max_promote_at_startup(tmp_path, capsys):
+    model = str(tmp_path / "none.json")
+    cases = [
+        ({"threshold": 1.5}, []),
+        ({"threshold": -0.1}, []),
+        ({}, ["--threshold", "2"]),
+        ({"max_promote": -1}, []),
+        ({}, ["--max-promote", "-2"]),
+    ]
+    for config, flags in cases:
+        rc, stdout, stderr = _run_with_config(
+            tmp_path, capsys, config, ["serve", "--model", model, *flags]
+        )
+        assert rc == 1, (config, flags)
+        assert stderr.startswith("error: "), stderr
+        assert "threshold" in stderr or "max_promote" in stderr, stderr
+        assert "model file not found" not in stderr and stdout == ""

@@ -256,3 +256,44 @@ def test_completer_adapter():
         ngram_prob(model, [vocab.id("a")], vocab.id("b"))
     )
     assert completer.prob(["a"], "never-seen") == 0.0
+
+
+def test_distribution_equals_prob_bit_for_bit(tmp_path):
+    rng = random.Random(5)
+    texts = [rng.choice("a b c d e f g".split()) for _ in range(400)]
+    # "never" is in the vocabulary but not in the training stream.
+    vocab = build_vocab([texts + ["never"]], max_size=50)
+    model = train_ngram([[vocab.id(t) for t in texts]], 4, vocab)
+    ids = [vocab.id(t) for t in texts]
+    never = vocab.id("never")
+    contexts = {
+        "empty": [],
+        "seen": ids[10:13],
+        "unseen": [never, never, never],
+        "partly seen": [never] + ids[20:22],
+        "unknown": [vocab.unk_id, ids[5]],
+        "longer than the order": ids[30:40],
+    }
+
+    def assert_equals_prob(m, ctx, vec):
+        assert vec.dtype == np.float64 and vec.shape == (len(vocab),)
+        for w in range(len(vocab)):
+            assert vec[w] == ngram_prob(m, ctx, w), (ctx, w)
+
+    first = {}
+    for name, ctx in contexts.items():
+        first[name] = ngram_distribution(model, ctx)
+        assert_equals_prob(model, ctx, first[name])
+    for name, ctx in contexts.items():
+        again = ngram_distribution(model, ctx)
+        assert np.array_equal(again, first[name]), name
+        again[:] = -1.0  # a fresh array: writing to it changes no later call
+        assert np.array_equal(ngram_distribution(model, ctx), first[name]), name
+
+    path = tmp_path / "ngram.json"
+    save_ngram(model, path)
+    loaded = load_ngram(path)
+    for name, ctx in contexts.items():
+        vec = ngram_distribution(loaded, ctx)
+        assert np.array_equal(vec, first[name]), name
+        assert_equals_prob(loaded, ctx, vec)

@@ -19,7 +19,7 @@ from complab.ranker import (
 
 
 def _score_from(table):
-    return lambda context, candidate: table.get(candidate, 0.0)
+    return lambda context, candidates: [table.get(c, 0.0) for c in candidates]
 
 
 def test_promotion_rule_example():
@@ -46,7 +46,7 @@ def test_all_below_threshold_alphabetical():
 
 def test_promotion_capped_at_three():
     candidates = [f"c{i}" for i in range(5)]
-    response = rank(candidates, [], lambda ctx, c: 0.9)
+    response = rank(candidates, [], _score_from(dict.fromkeys(candidates, 0.9)))
     assert response.promoted_count == 3
     # All scores equal: promoted block is lexicographic, tail alphabetical.
     assert list(response.ranked) == ["c0", "c1", "c2", "c3", "c4"]
@@ -60,9 +60,9 @@ def test_oov_candidate_scores_zero():
 
 def test_empty_and_duplicate_candidates_rejected():
     with pytest.raises(ProtocolError):
-        rank([], [], lambda ctx, c: 0.0)
+        rank([], [], _score_from({}))
     with pytest.raises(ProtocolError):
-        rank(["a", "a"], [], lambda ctx, c: 0.0)
+        rank(["a", "a"], [], _score_from({}))
     with pytest.raises(ProtocolError):
         RankRequest(request_id="r", developer_id="d", context=(), candidates=())
 

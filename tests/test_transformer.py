@@ -25,7 +25,6 @@ from complab.transformer import (
     small_config,
     train,
     train_steps,
-    transformer_topk,
 )
 from complab.vocab import Vocabulary
 
@@ -154,11 +153,56 @@ def test_serve_transformer_empty_context_keeps_going():
     ]
     reader = io.StringIO("".join(json.dumps(l) + "\n" for l in lines))
     writer = io.StringIO()
-    assert serve_stream(completer.prob, reader, writer) == 2
+    assert serve_stream(completer.scores, reader, writer) == 2
     first, second = [json.loads(l) for l in writer.getvalue().splitlines()]
     assert first == {"error": "model", "detail": "empty id sequence", "request_id": "empty"}
     assert second["request_id"] == "ok"
     assert sorted(second["ranked"]) == ["b", "c"]
+
+
+def test_serve_transformer_empty_context_oov_candidates_run_no_forward(monkeypatch):
+    vocab = _vocab(["a", "b", "c"])
+    config = small_config(vocab_size=len(vocab), context_len=8, seed=0)
+    completer = tf.TransformerCompleter(
+        init_params(config, dtype=np.float32), config, vocab
+    )
+    forwards = []
+    monkeypatch.setattr(tf, "forward", lambda *a, **k: forwards.append(a))
+    line = {"request_id": "oov", "context": [], "candidates": ["zz", "<unk>", "<pad>"]}
+    reader = io.StringIO(json.dumps(line) + "\n")
+    writer = io.StringIO()
+    assert serve_stream(completer.scores, reader, writer) == 1
+    answer = json.loads(writer.getvalue())
+    assert answer["scores"] == {"zz": 0.0, "<unk>": 0.0, "<pad>": 0.0}
+    assert answer["ranked"] == ["<pad>", "<unk>", "zz"]
+    assert forwards == []
+
+
+def test_inference_records_no_graph(monkeypatch):
+    params = init_params(CONFIG, dtype=np.float32)
+    ids = [2, 9, 4, 17, 3]
+    logits = tf._logits(params, np.array([ids]), CONFIG).data[0]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    want_rows = e / e.sum(axis=-1, keepdims=True)
+    valid = np.random.default_rng(8).integers(2, 50, size=(5, 9))
+    valid[1, 5:] = 1
+    want_loss = float(loss(params, valid, CONFIG).data)  # one batch
+
+    graph_built = []
+    needs_graph = ag._needs_graph
+
+    def recording(*tensors):
+        graph_built.append(needs_graph(*tensors))
+        return graph_built[-1]
+
+    monkeypatch.setattr(ag, "_needs_graph", recording)
+    rows = forward(params, ids, CONFIG)
+    valid_loss = tf._mean_valid_loss(params, valid, CONFIG, pad_id=1)
+    assert graph_built and not any(graph_built)
+    assert np.array_equal(rows, want_rows)
+    assert valid_loss == want_loss
+    assert all(p.grad is None for p in params.values())
+    assert all(p.requires_grad for p in params.values())
 
 
 def test_loss_all_pad_targets_error():
@@ -269,8 +313,8 @@ def test_topk_after_memorization():
     params = init_params(config, dtype=np.float32)
     seq = [vocab.id("a"), vocab.id("b")] * 5
     train_steps(params, [seq] * 8, config, steps=200)
-    top = transformer_topk(params, [vocab.id("a")], 2, config, vocab)
-    assert vocab.text(top[0][0]) == "b"
+    top = tf.TransformerCompleter(params, config, vocab).topk(["a"], 2)
+    assert top[0][0] == "b"
     probs = [p for _, p in top]
     assert probs == sorted(probs, reverse=True)
 
@@ -279,9 +323,9 @@ def test_topk_excludes_specials():
     vocab = _vocab(["a", "b", "c"])
     config = small_config(vocab_size=len(vocab), context_len=8, seed=0)
     params = init_params(config, dtype=np.float64)
-    top = transformer_topk(params, [vocab.id("a")], 99, config, vocab)
+    top = tf.TransformerCompleter(params, config, vocab).topk(["a"], 99)
     assert len(top) == len(vocab) - 2
-    assert all(i not in (vocab.unk_id, vocab.pad_id) for i, _ in top)
+    assert all(text not in ("<unk>", "<pad>") for text, _ in top)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -95,3 +95,18 @@ def test_encode_ids_always_in_range(texts, max_size):
     for window in encode(texts, v, window=7):
         assert all(0 <= i < len(v) for i in window)
         assert len(window) == 7
+
+
+def test_lex_rank_orders_ids_by_text():
+    v = Vocabulary(
+        id_of={UNK: 0, PAD: 1, "zeta": 2, "alpha": 3, "Mid": 4, "mid": 5},
+        max_size=10,
+    )
+    rank = v.lex_rank()
+    assert sorted(range(len(v)), key=lambda i: rank[i]) == sorted(
+        range(len(v)), key=v.text
+    )
+    assert [v.text(i) for i in sorted(range(2, 6), key=lambda i: rank[i])] == [
+        "Mid", "alpha", "mid", "zeta",
+    ]
+    assert v.lex_rank() is rank  # built once
