@@ -19,7 +19,6 @@ from .corpus import (
     filter_recent,
     sample_identifier_targets,
     split,
-    union,
 )
 from .completer import Completer
 from .datagen import DomainProfile, default_profiles, generate

@@ -1,6 +1,6 @@
 """Command-line entry point orchestrating the full pipeline:
 
-    datagen -> build-corpus -> train-vocab / train-bpe ->
+    datagen -> train-vocab / train-bpe ->
     train-ngram / train-transformer -> evaluate -> analyze -> serve / abtest
 
 All artifacts land under a single --out workspace. Every command writes a
@@ -24,10 +24,9 @@ from . import analysis, datagen, pipeline, ranker
 from . import bpe as bpe_mod
 from . import ngram as ngram_mod
 from . import transformer as tf_mod
-from .corpus import save_file_corpus, save_events
+from .corpus import WINDOW, save_events, save_file_corpus
 from .evalsuite import evaluate
-from .lexer import dump_tokens
-from .vocab import load_vocab, save_vocab
+from .vocab import build_vocab, load_vocab, save_vocab
 
 # Every key a --config file may set: its type and built-in default (None:
 # unset unless given).
@@ -39,12 +38,11 @@ CONFIG_KEYS: dict[str, tuple[type, object]] = {
     "max_size": (int, 100_000),
     "bpe_vocab_size": (int, 10_000),
     "order": (int, 4),
-    "window": (int, 100),
     "profile": (str, "test"),
     "n_examples": (int, 1000),
     "cutoff": (int, 10),
-    "threshold": (float, 0.1),
-    "max_promote": (int, 3),
+    "threshold": (float, ranker.DEFAULT_THRESHOLD),
+    "max_promote": (int, ranker.DEFAULT_MAX_PROMOTE),
     "budget_tokens": (int, None),
     "epochs": (int, None),
 }
@@ -155,37 +153,8 @@ def cmd_datagen(args, config) -> int:
     return 0
 
 
-def cmd_build_corpus(args, config) -> int:
-    out = Path(args.out)
-    names = _corpus_list(args.corpus) if args.corpus else None
-    if names is None:
-        names = sorted(
-            p.name for p in (out / "data").iterdir() if (p / "manifest.jsonl").exists()
-        )
-    for name in names:
-        data = pipeline.load_corpus(out, name)
-        corpus_dir = out / "corpora" / name
-        corpus_dir.mkdir(parents=True, exist_ok=True)
-        with open(corpus_dir / "tokens.jsonl", "w", encoding="utf-8") as fp:
-            for record in data.files:
-                fp.write(json.dumps({"file_id": record.file_id}, ensure_ascii=False))
-                fp.write("\n")
-                dump_tokens(record.tokens, fp)
-        n_tokens = sum(len(f.tokens) for f in data.files)
-        print(f"build-corpus: {name}: {len(data.files)} files, {n_tokens} tokens")
-        _write_manifest(corpus_dir, "build-corpus", {"corpus": name, "seed": None})
-    return 0
-
-
-def _training_streams_for(out: Path, train_name: str, seed: int):
-    if train_name == pipeline.UNION:
-        splits = {
-            part: pipeline.split_corpus(pipeline.load_corpus(out, part), seed)
-            for part in pipeline.UNION_PARTS
-        }
-        return pipeline.union_streams(splits)
-    data = pipeline.load_corpus(out, train_name)
-    return pipeline.training_streams(pipeline.split_corpus(data, seed))
+def _training_streams(out: Path, train_name: str, seed: int):
+    return pipeline.training_streams(pipeline.training_splits(out, train_name, seed))
 
 
 def cmd_train_vocab(args, config) -> int:
@@ -193,8 +162,7 @@ def cmd_train_vocab(args, config) -> int:
     seed = _resolve(args, config, "seed")
     max_size = _resolve(args, config, "max_size")
     for train_name in _corpus_list(args.train):
-        streams = _training_streams_for(out, train_name, seed)
-        vocab = pipeline.build_training_vocab(streams, max_size)
+        vocab = build_vocab(_training_streams(out, train_name, seed), max_size)
         model_dir = pipeline.models_dir(out, train_name)
         model_dir.mkdir(parents=True, exist_ok=True)
         save_vocab(vocab, model_dir / "vocab.tsv")
@@ -212,7 +180,7 @@ def cmd_train_bpe(args, config) -> int:
     seed = _resolve(args, config, "seed")
     vocab_size = _resolve(args, config, "bpe_vocab_size")
     for train_name in _corpus_list(args.train):
-        streams = _training_streams_for(out, train_name, seed)
+        streams = _training_streams(out, train_name, seed)
         counts: dict[str, int] = {}
         for stream in streams:
             for text in stream:
@@ -248,12 +216,10 @@ def cmd_train_ngram(args, config) -> int:
     out = Path(args.out)
     seed = _resolve(args, config, "seed")
     order = _resolve(args, config, "order")
-    window = _resolve(args, config, "window")
     budget = _resolve(args, config, "budget_tokens")
     for train_name in _corpus_list(args.train):
         vocab = _load_train_vocab(out, train_name)
-        streams = _training_streams_for(out, train_name, seed)
-        windows = pipeline.encode_windows(streams, vocab, window)
+        windows = pipeline.encode_windows(_training_streams(out, train_name, seed), vocab)
         if budget:
             windows = pipeline.trim_to_budget(windows, budget, vocab.pad_id)
         model = ngram_mod.train_ngram(windows, order, vocab)
@@ -270,18 +236,18 @@ def cmd_train_ngram(args, config) -> int:
                 "train": train_name,
                 "seed": seed,
                 "order": order,
-                "window": window,
+                "window": WINDOW,
                 "budget_tokens": budget,
             },
         )
     return 0
 
 
-def _transformer_config(profile: str, vocab_size: int, seed: int, epochs, window: int):
+def _transformer_config(profile: str, vocab_size: int, seed: int, epochs):
     if profile == "desk":
         config = tf_mod.TransformerConfig(
             vocab_size=vocab_size,
-            context_len=window,
+            context_len=WINDOW,
             d_model=128,
             n_layers=6,
             n_heads=4,
@@ -293,7 +259,7 @@ def _transformer_config(profile: str, vocab_size: int, seed: int, epochs, window
     elif profile == "test":
         config = tf_mod.small_config(
             vocab_size=vocab_size,
-            context_len=window,
+            context_len=WINDOW,
             seed=seed,
             max_epochs=epochs or tf_mod.MAX_EPOCHS,
         )
@@ -305,31 +271,22 @@ def _transformer_config(profile: str, vocab_size: int, seed: int, epochs, window
 def cmd_train_transformer(args, config) -> int:
     out = Path(args.out)
     seed = _resolve(args, config, "seed")
-    window = _resolve(args, config, "window")
     profile = _resolve(args, config, "profile")
     budget = _resolve(args, config, "budget_tokens")
     epochs = _resolve(args, config, "epochs")
     for train_name in _corpus_list(args.train):
         vocab = _load_train_vocab(out, train_name)
-        if train_name == pipeline.UNION:
-            splits = {
-                part: pipeline.split_corpus(pipeline.load_corpus(out, part), seed)
-                for part in pipeline.UNION_PARTS
-            }
-            train_streams = pipeline.union_streams(splits, "train")
-            valid_streams = pipeline.union_streams(splits, "valid")
-        else:
-            split = pipeline.split_corpus(pipeline.load_corpus(out, train_name), seed)
-            train_streams = pipeline.training_streams(split, "train")
-            valid_streams = pipeline.training_streams(split, "valid")
-        train_windows = pipeline.encode_windows(train_streams, vocab, window)
-        valid_windows = pipeline.encode_windows(valid_streams, vocab, window)
+        splits = pipeline.training_splits(out, train_name, seed)
+        train_windows = pipeline.encode_windows(pipeline.training_streams(splits), vocab)
+        valid_windows = pipeline.encode_windows(
+            pipeline.training_streams(splits, "valid"), vocab
+        )
         if budget:
             train_windows = pipeline.trim_to_budget(train_windows, budget, vocab.pad_id)
             valid_windows = pipeline.trim_to_budget(
-                valid_windows, max(budget // 8, window), vocab.pad_id
+                valid_windows, max(budget // 8, WINDOW), vocab.pad_id
             )
-        tf_config = _transformer_config(profile, len(vocab), seed, epochs, window)
+        tf_config = _transformer_config(profile, len(vocab), seed, epochs)
         params, log = tf_mod.train(
             tf_config, train_windows, valid_windows, pad_id=vocab.pad_id
         )
@@ -347,7 +304,7 @@ def cmd_train_transformer(args, config) -> int:
                 "train": train_name,
                 "seed": seed,
                 "profile": profile,
-                "window": window,
+                "window": WINDOW,
                 "budget_tokens": budget,
                 "epochs": epochs,
             },
@@ -355,21 +312,29 @@ def cmd_train_transformer(args, config) -> int:
     return 0
 
 
-def _completer_for(out: Path, model_kind: str, train_name: str):
-    model_dir = pipeline.models_dir(out, train_name)
-    if model_kind == "ngram":
-        path = model_dir / "ngram.json"
-        if not path.exists():
-            raise CliError(f"model file not found: {path}")
+MODEL_FILES = {"ngram": "ngram.json", "transformer": "transformer.npz"}
+
+
+def _load_completer(path: Path):
+    """The model in `path`, by file suffix: an n-gram `.json`, or a
+    transformer `.npz` with the `vocab.tsv` next to it."""
+    if not path.exists():
+        raise CliError(f"model file not found: {path}")
+    if path.suffix == ".json":
         return ngram_mod.NgramCompleter(ngram_mod.load_ngram(path))
-    if model_kind == "transformer":
-        path = model_dir / "transformer.npz"
-        if not path.exists():
-            raise CliError(f"model file not found: {path}")
+    if path.suffix == ".npz":
+        vocab_path = path.parent / "vocab.tsv"
+        if not vocab_path.exists():
+            raise CliError(f"vocabulary not found next to model: {vocab_path}")
         params, tf_config = tf_mod.load_params(path)
-        vocab = _load_train_vocab(out, train_name)
-        return tf_mod.TransformerCompleter(params, tf_config, vocab)
-    raise CliError(f"unknown model kind: {model_kind}")
+        return tf_mod.TransformerCompleter(params, tf_config, load_vocab(vocab_path))
+    raise CliError(f"unrecognized model file type: {path}")
+
+
+def _trained_completer(out: Path, model_kind: str, train_name: str):
+    if model_kind not in MODEL_FILES:
+        raise CliError(f"unknown model kind: {model_kind}")
+    return _load_completer(pipeline.models_dir(out, train_name) / MODEL_FILES[model_kind])
 
 
 def cmd_evaluate(args, config) -> int:
@@ -382,12 +347,12 @@ def cmd_evaluate(args, config) -> int:
     evals = _corpus_list(args.eval)
     eval_sets = {}
     for eval_name in evals:
-        split = pipeline.split_corpus(pipeline.load_corpus(out, eval_name), seed)
+        split = pipeline.load_split(out, eval_name, seed)
         eval_sets[eval_name] = pipeline.eval_examples(split, n_examples, seed)
     cells = []
     for model_kind in models:
         for train_name in trains:
-            completer = _completer_for(out, model_kind, train_name)
+            completer = _trained_completer(out, model_kind, train_name)
             for eval_name in evals:
                 report = evaluate(completer.topk, eval_sets[eval_name], cutoff=cutoff)
                 cells.append(
@@ -439,8 +404,9 @@ def cmd_analyze(args, config) -> int:
     model_kind = args.model or "ngram"
     trains = _corpus_list(args.train)
     eval_name = args.eval
-    eval_split = pipeline.split_corpus(pipeline.load_corpus(out, eval_name), seed)
-    examples = pipeline.eval_examples(eval_split, n_examples, seed)
+    examples = pipeline.eval_examples(
+        pipeline.load_split(out, eval_name, seed), n_examples, seed
+    )
 
     rdir = pipeline.reports_dir(out)
     rdir.mkdir(parents=True, exist_ok=True)
@@ -448,11 +414,12 @@ def cmd_analyze(args, config) -> int:
     # Length CDFs and kind shares per corpus (training-side distributions).
     cdfs = {}
     kinds = {}
-    for name in sorted(set(trains + [eval_name])):
-        if name == pipeline.UNION:
-            continue
-        split = pipeline.split_corpus(pipeline.load_corpus(out, name), seed)
-        corpus_examples = pipeline.eval_examples(split, n_examples, seed)
+    for name in sorted(set(trains + [eval_name]) - {pipeline.UNION}):
+        if name == eval_name:
+            corpus_examples = examples
+        else:
+            split = pipeline.load_split(out, name, seed)
+            corpus_examples = pipeline.eval_examples(split, n_examples, seed)
         cdfs[name] = analysis.length_cdf(corpus_examples)
         kinds[name] = analysis.kind_distribution(corpus_examples)
     analysis.write_length_cdf_csv(rdir, cdfs)
@@ -462,8 +429,8 @@ def cmd_analyze(args, config) -> int:
     by_oov = {}
     oov_rows = []
     for train_name in trains:
-        completer = _completer_for(out, model_kind, train_name)
-        vocab = _load_train_vocab(out, train_name)
+        completer = _trained_completer(out, model_kind, train_name)
+        vocab = completer.vocab
         report = evaluate(completer.topk, examples, cutoff=cutoff)
         label = f"{model_kind}-{train_name}"
         by_length[label] = analysis.accuracy_by_length(
@@ -506,19 +473,7 @@ def cmd_serve(args, config) -> int:
         raise CliError(f"threshold must be in [0, 1], got {threshold}")
     if max_promote < 0:
         raise CliError(f"max_promote must be >= 0, got {max_promote}")
-    model_path = Path(args.model)
-    if not model_path.exists():
-        raise CliError(f"model file not found: {model_path}")
-    if model_path.suffix == ".json":
-        completer = ngram_mod.NgramCompleter(ngram_mod.load_ngram(model_path))
-    elif model_path.suffix == ".npz":
-        params, tf_config = tf_mod.load_params(model_path)
-        vocab_path = model_path.parent / "vocab.tsv"
-        if not vocab_path.exists():
-            raise CliError(f"vocabulary not found next to model: {vocab_path}")
-        completer = tf_mod.TransformerCompleter(params, tf_config, load_vocab(vocab_path))
-    else:
-        raise CliError(f"unrecognized model file type: {model_path}")
+    completer = _load_completer(Path(args.model))
     acceptance_log = ranker.AcceptanceLog(args.log) if args.log else None
     if args.tcp:
         host, _, port = args.tcp.partition(":")
@@ -614,11 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--event-rate", dest="event_rate", type=float)
     p.add_argument("--with-edit", action="store_true")
     p.set_defaults(func=cmd_datagen)
-
-    p = sub.add_parser("build-corpus", help="lex corpora into token dumps")
-    p.add_argument("--out", required=True)
-    p.add_argument("--corpus")
-    p.set_defaults(func=cmd_build_corpus)
 
     p = sub.add_parser("train-vocab", help="build whole-token vocabularies")
     p.add_argument("--out", required=True)

@@ -21,7 +21,9 @@ from .lexer import Token, TokenKind, classify_text, is_identifier_like
 
 log = logging.getLogger(__name__)
 
-CONTEXT_CAP = 100
+# Events and evaluation examples keep at most this many context tokens, and
+# training streams are cut into windows of this many token ids.
+WINDOW = 100
 
 
 class CorpusKind(Enum):
@@ -50,8 +52,8 @@ class CompletionEvent:
             raise ValueError(
                 f"accepted token {self.accepted.text!r} is not identifier-like"
             )
-        if len(self.context) > CONTEXT_CAP:
-            object.__setattr__(self, "context", self.context[-CONTEXT_CAP:])
+        if len(self.context) > WINDOW:
+            object.__setattr__(self, "context", self.context[-WINDOW:])
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,7 +107,7 @@ def sample_identifier_targets(
     source_kind: CorpusKind = CorpusKind.COMMITTED,
 ) -> list[EvalExample]:
     """Uniformly sample identifier-like positions with at least one
-    preceding token; context is capped at the most recent CONTEXT_CAP
+    preceding token; context is capped at the most recent WINDOW
     tokens. Without replacement, so at most the number of eligible
     positions is returned."""
     if n < 1:
@@ -123,7 +125,7 @@ def sample_identifier_targets(
     examples = []
     for fi, pos in sorted(chosen):
         tokens = files[fi].tokens
-        context = tokens[max(0, pos - CONTEXT_CAP) : pos]
+        context = tokens[max(0, pos - WINDOW) : pos]
         examples.append(
             EvalExample(context=context, target=tokens[pos], source_kind=source_kind)
         )
@@ -160,11 +162,6 @@ def filter_recent(
     return [f for f in files if now - f.last_modified <= horizon]
 
 
-def union(a: Sequence, b: Sequence) -> list:
-    """Concatenate two training collections. No dedup is performed."""
-    return list(a) + list(b)
-
-
 # --------------------------------------------------------------------------
 # File formats
 # --------------------------------------------------------------------------
@@ -181,7 +178,7 @@ def event_to_record(event: CompletionEvent) -> dict:
     }
 
 
-def _tokens_from_texts(texts: Iterable[str]) -> tuple[Token, ...]:
+def tokens_from_texts(texts: Iterable[str]) -> tuple[Token, ...]:
     out = []
     offset = 0
     for text in texts:
@@ -191,7 +188,7 @@ def _tokens_from_texts(texts: Iterable[str]) -> tuple[Token, ...]:
 
 
 def event_from_record(record: dict) -> CompletionEvent:
-    context = _tokens_from_texts(record["context"])
+    context = tokens_from_texts(record["context"])
     accepted_text = record["accepted"]
     kind = TokenKind(record.get("accepted_kind", classify_text(accepted_text).value))
     offset = context[-1].byte_offset + 2 if context else 0

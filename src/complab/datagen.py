@@ -22,8 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import CompletionEvent, FileRecord
-from .lexer import Token, TokenKind, is_identifier_like
+from .corpus import WINDOW, CompletionEvent, FileRecord, tokens_from_texts
+from .lexer import TokenKind, is_identifier_like
 
 # Fixed "now" anchor so recency metadata is reproducible.
 GENERATION_EPOCH = 1_700_000_000.0
@@ -310,17 +310,6 @@ def _file_tokens(
     return texts[:budget]
 
 
-def _to_tokens(texts: list[str]) -> tuple[Token, ...]:
-    from .lexer import classify_text
-
-    out = []
-    offset = 0
-    for text in texts:
-        out.append(Token(text, classify_text(text), offset))
-        offset += len(text.encode("utf-8")) + 1
-    return tuple(out)
-
-
 def generate(
     profile: DomainProfile,
     seed: int,
@@ -345,7 +334,7 @@ def generate(
     events: list[CompletionEvent] = []
     for fi in range(profile.files):
         texts = _file_tokens(rng, sampler, profile.tokens_per_file)
-        tokens = _to_tokens(texts)
+        tokens = tokens_from_texts(texts)
         if fi in recent_ids:
             last_modified = now - rng.random() * 89.0 * DAY
         else:
@@ -362,7 +351,7 @@ def generate(
                     continue
                 events.append(
                     CompletionEvent(
-                        context=tokens[max(0, pos - 100) : pos],
+                        context=tokens[max(0, pos - WINDOW) : pos],
                         accepted=tokens[pos],
                         developer_id=f"dev{rng.randrange(120):03d}",
                         timestamp=now - rng.random() * 90.0 * DAY,

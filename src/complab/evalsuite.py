@@ -8,10 +8,7 @@ all (out of vocabulary), scores zero and is recorded as a miss.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .corpus import EvalExample
@@ -25,11 +22,6 @@ class EvalReport:
     mrr: float
     n: int
     per_example_ranks: tuple[int | None, ...]  # None marks a miss
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"top1": self.top1, "mrr": self.mrr, "n": self.n}, sort_keys=True
-        )
 
 
 def report_from_ranks(
@@ -64,19 +56,3 @@ def evaluate(
                 break
         ranks.append(rank)
     return report_from_ranks(ranks, cutoff=cutoff)
-
-
-def write_report_json(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(report.to_json() + "\n", encoding="utf-8")
-
-
-def write_ranks_csv(
-    report: EvalReport, path: str | Path, example_ids: Sequence[str] | None = None
-) -> None:
-    """Optional per-example CSV: (example_id, rank); empty rank = miss."""
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["example_id", "rank"])
-        for i, rank in enumerate(report.per_example_ranks):
-            eid = example_ids[i] if example_ids else str(i)
-            writer.writerow([eid, "" if rank is None else rank])

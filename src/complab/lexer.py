@@ -14,9 +14,8 @@ through a single-space join.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
 
 class LexError(ValueError):
@@ -220,15 +219,3 @@ def classify_text(text: str) -> TokenKind:
 def join_tokens(tokens: Iterable[Token | str]) -> str:
     """Single-space join of token texts; re-lexes to the same text stream."""
     return " ".join(t if isinstance(t, str) else t.text for t in tokens)
-
-
-def dump_tokens(tokens: Iterable[Token], fp: IO[str]) -> None:
-    """Write a line-delimited JSON token dump for debugging."""
-    for t in tokens:
-        fp.write(
-            json.dumps(
-                {"text": t.text, "kind": t.kind.value, "offset": t.byte_offset},
-                ensure_ascii=False,
-            )
-        )
-        fp.write("\n")

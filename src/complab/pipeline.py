@@ -1,22 +1,26 @@
-"""Shared plumbing between the CLI, the experiment scripts, and the tests:
-corpus loading, per-corpus training-stream construction, vocabulary and
-window building, and evaluation-example extraction.
+"""Shared plumbing between the CLI and the tests: the one place that decides
+which records a corpus name stands for, plus training-stream, window and
+evaluation-example construction.
 
-Training corpora are referred to by name: "committed", "completion",
-"edit", or "union" (committed plus completion, no dedup).
+Corpora are referred to by name: "committed", "completion", "edit", or
+"union" (committed plus completion, no dedup) for training. The completion
+corpus is studied through its logged completion events: when its
+events.jsonl exists, only the events are loaded, and they are what its
+models train and validate on and what it is evaluated on. Every other
+corpus, and a completion corpus without an event log, is loaded as files.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from . import corpus as corpus_mod
-from .corpus import CompletionEvent, CorpusKind, EvalExample, FileRecord
-from .vocab import Vocabulary, build_vocab, encode
+from .corpus import WINDOW, CompletionEvent, CorpusKind, EvalExample, FileRecord
+from .vocab import Vocabulary, encode
 
-WINDOW = 100
 UNION = "union"
 UNION_PARTS = ("committed", "completion")
 
@@ -27,22 +31,15 @@ _KIND_BY_NAME = {
 }
 
 
-@dataclass(slots=True)
-class CorpusData:
-    name: str
-    files: list[FileRecord]
-    events: list[CompletionEvent]
+@dataclass(frozen=True, slots=True)
+class Split:
+    """Train, valid and test records of one corpus, all of one kind:
+    completion events or files."""
 
-
-@dataclass(slots=True)
-class SplitData:
     name: str
-    train_files: list[FileRecord]
-    valid_files: list[FileRecord]
-    test_files: list[FileRecord]
-    train_events: list[CompletionEvent]
-    valid_events: list[CompletionEvent]
-    test_events: list[CompletionEvent]
+    train: list[FileRecord] | list[CompletionEvent]
+    valid: list[FileRecord] | list[CompletionEvent]
+    test: list[FileRecord] | list[CompletionEvent]
 
 
 def data_dir(out_root: str | Path, name: str) -> Path:
@@ -57,65 +54,46 @@ def reports_dir(out_root: str | Path) -> Path:
     return Path(out_root) / "reports"
 
 
-def load_corpus(out_root: str | Path, name: str) -> CorpusData:
+def load_split(out_root: str | Path, name: str, seed: int) -> Split:
+    """Load the records corpus `name` is studied through and split them."""
     root = data_dir(out_root, name)
     if not root.exists():
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    files = corpus_mod.load_file_corpus(root)
     events_path = root / "events.jsonl"
-    events = corpus_mod.load_events(events_path) if events_path.exists() else []
-    return CorpusData(name=name, files=files, events=events)
+    if name == "completion" and events_path.exists():
+        records = corpus_mod.load_events(events_path)
+    else:
+        records = corpus_mod.load_file_corpus(root)
+    return Split(name, *corpus_mod.split(records, seed))
 
 
-def split_corpus(data: CorpusData, seed: int) -> SplitData:
-    tf, vf, sf = corpus_mod.split(data.files, seed)
-    te, ve, se = corpus_mod.split(data.events, seed) if data.events else ([], [], [])
-    return SplitData(
-        name=data.name,
-        train_files=tf,
-        valid_files=vf,
-        test_files=sf,
-        train_events=te,
-        valid_events=ve,
-        test_events=se,
-    )
+def training_splits(out_root: str | Path, name: str, seed: int) -> list[Split]:
+    """The splits a model trained on `name` learns from: the union's parts
+    in order, or the one corpus."""
+    parts = UNION_PARTS if name == UNION else (name,)
+    return [load_split(out_root, part, seed) for part in parts]
 
 
-def _event_texts(event: CompletionEvent) -> list[str]:
-    texts = [t.text for t in event.context][-(WINDOW - 1) :]
-    texts.append(event.accepted.text)
+def _stream(record: FileRecord | CompletionEvent) -> list[str]:
+    if isinstance(record, FileRecord):
+        return [t.text for t in record.tokens]
+    texts = [t.text for t in record.context][-(WINDOW - 1) :]
+    texts.append(record.accepted.text)
     return texts
 
 
-def training_streams(split: SplitData, use: str = "train") -> list[list[str]]:
-    """Token-text streams for model training: per-file streams for file
-    corpora, one context+target stream per event for event corpora."""
-    files = getattr(split, f"{use}_files")
-    events = getattr(split, f"{use}_events")
-    if split.name == "completion" and events:
-        return [_event_texts(e) for e in events]
-    return [[t.text for t in f.tokens] for f in files]
-
-
-def union_streams(splits: dict[str, SplitData], use: str = "train") -> list[list[str]]:
-    combined: list[list[str]] = []
-    for part in UNION_PARTS:
-        combined = corpus_mod.union(combined, training_streams(splits[part], use))
-    return combined
-
-
-def build_training_vocab(
-    streams: Sequence[Sequence[str]], max_size: int
-) -> Vocabulary:
-    return build_vocab(streams, max_size)
+def training_streams(splits: Sequence[Split], use: str = "train") -> list[list[str]]:
+    """Token-text streams of one part ("train" or "valid") of each split, in
+    order: one per file, or context plus target per event."""
+    return [_stream(record) for split in splits for record in getattr(split, use)]
 
 
 def encode_windows(
-    streams: Sequence[Sequence[str]], vocab: Vocabulary, window: int = WINDOW
+    streams: Sequence[Sequence[str]], vocab: Vocabulary
 ) -> list[list[int]]:
     windows: list[list[int]] = []
     for stream in streams:
-        windows.extend(encode(stream, vocab, window))
+        windows.extend(encode(stream, vocab, WINDOW))
     return windows
 
 
@@ -137,20 +115,13 @@ def trim_to_budget(
     return out
 
 
-def eval_examples(
-    split: SplitData, n: int, seed: int
-) -> list[EvalExample]:
-    """Held-out evaluation examples: sampled identifier targets for file
-    corpora, accepted completions for the event corpus."""
-    if split.name == "completion" and split.test_events:
-        examples, _ = corpus_mod.events_to_examples(split.test_events)
-        if len(examples) > n:
-            import random
-
-            rng = random.Random(seed)
-            examples = rng.sample(examples, n)
-        return examples
-    kind = _KIND_BY_NAME.get(split.name, CorpusKind.COMMITTED)
-    return corpus_mod.sample_identifier_targets(
-        split.test_files, n, seed, source_kind=kind
-    )
+def eval_examples(split: Split, n: int, seed: int) -> list[EvalExample]:
+    """Held-out evaluation examples from the test records: sampled
+    identifier targets for files, accepted completions for events."""
+    if split.test and isinstance(split.test[0], FileRecord):
+        kind = _KIND_BY_NAME.get(split.name, CorpusKind.COMMITTED)
+        return corpus_mod.sample_identifier_targets(split.test, n, seed, source_kind=kind)
+    examples, _ = corpus_mod.events_to_examples(split.test)
+    if len(examples) > n:
+        examples = random.Random(seed).sample(examples, n)
+    return examples

@@ -14,6 +14,7 @@ reads every candidate from one next-token distribution.
 
 from __future__ import annotations
 
+import io
 import json
 import socketserver
 import threading
@@ -225,18 +226,14 @@ def serve_tcp(
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
-            reader = (raw.decode("utf-8") for raw in self.rfile)
-            line_no = 0
-            for line in reader:
-                line_no += 1
-                line = line.strip()
-                if not line:
-                    continue
-                out = _handle_line(
-                    line, line_no, score_fn, threshold, max_promote, acceptance_log
-                )
-                self.wfile.write((out + "\n").encode("utf-8"))
-                self.wfile.flush()
+            serve_stream(
+                score_fn,
+                io.TextIOWrapper(self.rfile, encoding="utf-8"),
+                io.TextIOWrapper(self.wfile, encoding="utf-8", write_through=True),
+                threshold=threshold,
+                max_promote=max_promote,
+                acceptance_log=acceptance_log,
+            )
 
     server = socketserver.ThreadingTCPServer((host, port), Handler)
     server.daemon_threads = True

@@ -3,9 +3,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 
+from complab import pipeline
 from complab.abtest import AbObservation, compare
 from complab.cli import _load_config, main
+from complab.corpus import save_events
 from complab.transformer import load_params
 from complab.vocab import load_vocab
 
@@ -179,3 +182,124 @@ def test_serve_rejects_bad_threshold_and_max_promote_at_startup(tmp_path, capsys
         assert stderr.startswith("error: "), stderr
         assert "threshold" in stderr or "max_promote" in stderr, stderr
         assert "model file not found" not in stderr and stdout == ""
+
+
+def _run(capsys, argv):
+    capsys.readouterr()
+    rc = main(argv)
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_ngram_path_end_to_end(tmp_path, monkeypatch, capsys):
+    ws = tmp_path / "ws"
+    out = ["--out", str(ws)]
+    trains = "committed,completion,union"
+    steps = [
+        ["datagen", *out, "--files", "8", "--tokens-per-file", "300",
+         "--event-rate", "0.2", "--with-edit"],
+        ["train-vocab", *out, "--train", trains],
+        ["train-ngram", *out, "--train", trains],
+        ["train-bpe", *out, "--train", "completion", "--bpe-vocab-size", "300"],
+        ["evaluate", *out, "--models", "ngram", "--train", trains,
+         "--eval", "committed,completion,edit", "--n-examples", "30"],
+        ["analyze", *out, "--train", trains, "--eval", "completion", "--n-examples", "30"],
+    ]
+    for argv in steps:
+        rc, _, err = _run(capsys, argv)
+        assert rc == 0, (argv, err)
+
+    for name in trains.split(","):
+        model_dir = ws / "models" / name
+        assert (model_dir / "vocab.tsv").exists() and (model_dir / "ngram.json").exists()
+        manifest = json.loads((model_dir / "manifest.json").read_text())
+        if name == "completion":
+            assert manifest["command"] == "train-bpe"
+        else:
+            assert manifest["command"] == "train-ngram"
+            assert manifest["params"]["window"] == 100
+    assert (ws / "models" / "completion" / "bpe.merges.txt").exists()
+    assert not (ws / "corpora").exists()
+    report = json.loads((ws / "reports" / "eval.json").read_text())
+    assert [(c["train"], c["eval"]) for c in report["cells"]] == [
+        (t, e) for t in trains.split(",") for e in ("committed", "completion", "edit")
+    ]
+    assert all(c["n"] > 0 and 0.0 <= c["top1"] <= c["mrr"] <= 1.0 for c in report["cells"])
+    csv_lines = (ws / "reports" / "eval.csv").read_text().splitlines()
+    assert csv_lines[0] == "model,train,eval,top1,mrr,n" and len(csv_lines) == 10
+    oov = (ws / "reports" / "oov_rates.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in oov[1:]] == trains.split(",")
+    for table in ("fig4_accuracy_by_length", "fig5_length_cdf", "fig6_accuracy_by_oov",
+                  "kind_distribution"):
+        assert (ws / "reports" / f"{table}.csv").exists()
+
+    vocab = load_vocab(ws / "models" / "union" / "vocab.tsv")
+    words = [vocab.text(i) for i in range(2, 6)]
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        json.dumps({"request_id": "r", "context": words[:2], "candidates": words[2:]}) + "\n"
+    ))
+    rc, stdout, _ = _run(capsys, ["serve", "--model", str(ws / "models" / "union" / "ngram.json")])
+    assert rc == 0
+    (answer,) = [json.loads(line) for line in stdout.splitlines()]
+    assert answer["request_id"] == "r" and sorted(answer["ranked"]) == sorted(words[2:])
+
+
+def test_serve_and_evaluate_report_missing_models_alike(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    out = ["--out", str(ws)]
+    assert main(["datagen", *out, "--files", "4", "--tokens-per-file", "200"]) == 0
+    lonely = ws / "models" / "lonely"
+    lonely.mkdir(parents=True)
+    (lonely / "transformer.npz").write_bytes(b"not read")
+    cases = [
+        ("ngram", "committed", ws / "models" / "committed" / "ngram.json",
+         "model file not found: "),
+        ("transformer", "lonely", lonely / "transformer.npz",
+         "vocabulary not found next to model: "),
+    ]
+    for kind, train, path, message in cases:
+        rc, stdout, eval_err = _run(capsys, ["evaluate", *out, "--models", kind,
+                                             "--train", train, "--eval", "committed"])
+        assert rc == 1 and stdout == ""
+        rc, stdout, serve_err = _run(capsys, ["serve", "--model", str(path)])
+        assert rc == 1 and stdout == ""
+        assert eval_err == serve_err
+        assert eval_err.startswith("error: " + message) and "Traceback" not in eval_err
+
+
+def test_completion_events_without_valid_or_test_get_an_error(tmp_path, capsys, caplog):
+    """The completion corpus is studied through its events only: when they
+    leave the valid and test splits empty, training and evaluation stop
+    with an error rather than fall back to its files."""
+    ws = tmp_path / "ws"
+    out = ["--out", str(ws)]
+    assert main(["datagen", *out, "--files", "4", "--tokens-per-file", "300"]) == 0
+    events_path = ws / "data" / "completion" / "events.jsonl"
+    train_events = pipeline.load_split(ws, "completion", 7).train
+    save_events(train_events[:3], events_path)
+    assert main(["train-vocab", *out, "--train", "completion"]) == 0
+    assert main(["train-ngram", *out, "--train", "completion"]) == 0
+    for argv, message in (
+        (["evaluate", *out, "--models", "ngram", "--train", "completion",
+          "--eval", "completion"], "metrics undefined for zero examples"),
+        (["train-transformer", *out, "--train", "completion", "--epochs", "1"],
+         "train and valid splits must be non-empty"),
+    ):
+        rc, _, err = _run(capsys, argv)
+        assert rc == 1 and err == f"error: {message}\n", (argv, err)
+    # No file sampling was attempted for the empty test split.
+    assert "identifier targets" not in caplog.text
+
+
+def test_removed_window_key_and_build_corpus_command(tmp_path, capsys):
+    out = tmp_path / "ws"
+    rc, stdout, stderr = _run_with_config(
+        tmp_path, capsys, {"window": 50}, ["datagen", "--out", str(out)]
+    )
+    assert rc == 1 and stdout == ""
+    assert stderr == "error: unknown config key 'window'\n"
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["build-corpus", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'build-corpus'" in capsys.readouterr().err

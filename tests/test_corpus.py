@@ -17,7 +17,6 @@ from complab.corpus import (
     save_events,
     save_file_corpus,
     split,
-    union,
 )
 from complab.lexer import Token, TokenKind, tokenize
 
@@ -153,15 +152,6 @@ def test_filter_recent_boundary():
     assert [f.file_id for f in out] == ["new"]
     boundary = _file("edge", "$a = 1;", last_modified=now - 90 * day)
     assert filter_recent([boundary], 90, now) == [boundary]
-
-
-def test_union_concats_without_dedup():
-    a = [[1, 2], [3]]
-    b = [[1, 2], [4], [5]]
-    u = union(a, b)
-    assert len(u) == 5
-    assert u.count([1, 2]) == 2  # duplicates preserved
-    assert union(a, []) == a
 
 
 def test_eval_example_requires_context():

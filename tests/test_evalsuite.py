@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from complab.corpus import CorpusKind, EvalExample
-from complab.evalsuite import evaluate, report_from_ranks, write_ranks_csv
+from complab.evalsuite import evaluate, report_from_ranks
 from complab.lexer import Token, TokenKind
 
 
@@ -81,17 +81,6 @@ def test_bounds_top1_le_mrr_le_1():
     ranks = [1, 2, 5, None, 1, 9]
     report = report_from_ranks(ranks)
     assert 0.0 <= report.top1 <= report.mrr <= 1.0
-
-
-def test_ranks_csv(tmp_path):
-    report = report_from_ranks([1, None, 4])
-    path = tmp_path / "ranks.csv"
-    write_ranks_csv(report, path, example_ids=["e0", "e1", "e2"])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "example_id,rank"
-    assert lines[1] == "e0,1"
-    assert lines[2] == "e1,"
-    assert lines[3] == "e2,4"
 
 
 @given(

@@ -272,6 +272,10 @@ def test_tcp_round_trip():
                 response = json.loads(fp.readline())
                 assert response["request_id"] == f"t{i}"
                 assert response["ranked"][0] == "map"
+            # A blank line is skipped but still counted.
+            fp.write("\nnot json\n")
+            fp.flush()
+            assert json.loads(fp.readline()) == {"error": "parse", "line": 5}
     finally:
         server.shutdown()
         server.server_close()
