@@ -9,7 +9,6 @@ and quantifies corpus drift and A/B outcomes.
 
 from .lexer import LexError, Token, TokenKind, is_identifier_like, tokenize
 from .vocab import Vocabulary, build_vocab, encode
-from .bpe import BpeModel, bpe_decode, bpe_encode, train_bpe
 from .corpus import (
     CompletionEvent,
     CorpusKind,

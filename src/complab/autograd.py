@@ -57,15 +57,6 @@ class Tensor:
             if node._parents:
                 node.grad = None
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _needs_graph(*tensors: Tensor) -> bool:
     return any(t.requires_grad or t._parents for t in tensors)

@@ -1,7 +1,7 @@
 """Command-line entry point orchestrating the full pipeline:
 
-    datagen -> train-vocab / train-bpe ->
-    train-ngram / train-transformer -> evaluate -> analyze -> serve / abtest
+    datagen -> train-vocab -> train-ngram / train-transformer ->
+    evaluate -> analyze -> serve / abtest
 
 All artifacts land under a single --out workspace. Every command writes a
 manifest.json recording the resolved parameters, their hash, and the seed,
@@ -21,7 +21,6 @@ from pathlib import Path
 
 from . import abtest as abtest_mod
 from . import analysis, datagen, pipeline, ranker
-from . import bpe as bpe_mod
 from . import ngram as ngram_mod
 from . import transformer as tf_mod
 from .corpus import WINDOW, save_events, save_file_corpus
@@ -36,7 +35,6 @@ CONFIG_KEYS: dict[str, tuple[type, object]] = {
     "tokens_per_file": (int, None),
     "event_rate": (float, None),
     "max_size": (int, 100_000),
-    "bpe_vocab_size": (int, 10_000),
     "order": (int, 4),
     "profile": (str, "test"),
     "n_examples": (int, 1000),
@@ -171,36 +169,6 @@ def cmd_train_vocab(args, config) -> int:
             model_dir,
             "train-vocab",
             {"train": train_name, "seed": seed, "max_size": max_size},
-        )
-    return 0
-
-
-def cmd_train_bpe(args, config) -> int:
-    out = Path(args.out)
-    seed = _resolve(args, config, "seed")
-    vocab_size = _resolve(args, config, "bpe_vocab_size")
-    for train_name in _corpus_list(args.train):
-        streams = _training_streams(out, train_name, seed)
-        counts: dict[str, int] = {}
-        for stream in streams:
-            for text in stream:
-                counts[text] = counts.get(text, 0) + 1
-        model = bpe_mod.train_bpe(counts, vocab_size)
-        model_dir = pipeline.models_dir(out, train_name)
-        model_dir.mkdir(parents=True, exist_ok=True)
-        bpe_mod.save_merges(model, model_dir / "bpe.merges.txt")
-        alphabet_path = model_dir / "bpe.alphabet.txt"
-        alphabet_path.write_text(
-            "".join(sorted(model.alphabet)), encoding="utf-8"
-        )
-        print(
-            f"train-bpe: {train_name}: {len(model.merges)} merges, "
-            f"alphabet {len(model.alphabet)}"
-        )
-        _write_manifest(
-            model_dir,
-            "train-bpe",
-            {"train": train_name, "seed": seed, "bpe_vocab_size": vocab_size},
         )
     return 0
 
@@ -576,13 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", dest="max_size", type=int)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train_vocab)
-
-    p = sub.add_parser("train-bpe", help="learn BPE merge lists")
-    p.add_argument("--out", required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--bpe-vocab-size", dest="bpe_vocab_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_train_bpe)
 
     p = sub.add_parser("train-ngram", help="train n-gram language models")
     p.add_argument("--out", required=True)

@@ -5,8 +5,7 @@ pool-sampled identifiers whose marginal statistics (mean identifier length,
 share of short identifiers, local-variable share, recently-modified file
 fraction) are controlled by a DomainProfile. Identifier lengths come from a
 two-component mixture of shifted geometric distributions solved to hit the
-(mean, P(len <= 6)) pair; surfaces are camelCase syllable concatenations so
-subtoken models have learnable structure.
+(mean, P(len <= 6)) pair; surfaces are camelCase syllable concatenations.
 
 Committed-like and completion-like profiles share a core name pool but also
 draw from disjoint domain pools, so cross-domain vocabulary drift exists by

@@ -228,7 +228,9 @@ def serve_tcp(
         def handle(self):
             serve_stream(
                 score_fn,
-                io.TextIOWrapper(self.rfile, encoding="utf-8"),
+                # Undecodable bytes become U+FFFD, so the line is answered
+                # as a parse error like any other malformed line.
+                io.TextIOWrapper(self.rfile, encoding="utf-8", errors="replace"),
                 io.TextIOWrapper(self.wfile, encoding="utf-8", write_through=True),
                 threshold=threshold,
                 max_promote=max_promote,

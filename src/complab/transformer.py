@@ -344,17 +344,6 @@ class EarlyStopper:
         return self.bad >= self.patience or self.epoch >= self.max_epochs
 
 
-def simulate_early_stopping(
-    valid_losses: Sequence[float], patience: int = 2, max_epochs: int = MAX_EPOCHS
-) -> tuple[int, int]:
-    """(stopped_epoch, best_epoch) the stopper would produce on a trace."""
-    stopper = EarlyStopper(patience=patience, max_epochs=max_epochs)
-    for v in valid_losses:
-        if stopper.update(v):
-            break
-    return stopper.epoch, stopper.best_epoch
-
-
 def param_checksum(params: TransformerParams) -> str:
     digest = hashlib.sha256()
     for name in sorted(params):
@@ -486,33 +475,6 @@ def train(
     return params, log
 
 
-def train_steps(
-    params: TransformerParams,
-    sequences: Sequence[Sequence[int]],
-    config: TransformerConfig,
-    steps: int,
-    pad_id: int = 1,
-) -> list[float]:
-    """Run a fixed number of optimizer steps over cycling batches; returns
-    the per-step losses. Used for optimizer sanity checks."""
-    arr = np.asarray(sequences, dtype=np.int64)
-    opt = ag.Adam(
-        params,
-        lr=config.lr,
-        warmup_steps=config.warmup_steps,
-        clip_norm=config.clip_norm,
-    )
-    losses = []
-    batches = _batches(arr, config.batch_size, rng=None)
-    for step in range(steps):
-        batch = batches[step % len(batches)]
-        value = _train_step(params, opt, batch, config, pad_id)
-        if not math.isfinite(value):
-            raise DivergenceError(f"non-finite loss at step {step}")
-        losses.append(value)
-    return losses
-
-
 # --------------------------------------------------------------------------
 # Candidate scoring
 # --------------------------------------------------------------------------
@@ -534,102 +496,6 @@ class TransformerCompleter(Completer):
         return forward(self.params, ids, self.config, pad_id=self.vocab.pad_id)[
             -1
         ].astype(np.float64)
-
-
-class BpeTransformerCompleter:
-    """Adapter for the subtoken transformer: whole-token candidates are
-    scored as products of subtoken probabilities expanded by beam search
-    and re-normalized over the returned candidates."""
-
-    def __init__(
-        self,
-        params: TransformerParams,
-        config: TransformerConfig,
-        subvocab: Vocabulary,
-        bpe_model,
-        beam_width: int = 8,
-        max_subtokens: int = 16,
-    ):
-        self.params = params
-        self.config = config
-        self.subvocab = subvocab
-        self.bpe_model = bpe_model
-        self.beam_width = beam_width
-        self.max_subtokens = max_subtokens
-
-    def _context_ids(self, context_texts: Sequence[str]) -> list[int]:
-        from .bpe import bpe_encode
-
-        ids: list[int] = []
-        for text in context_texts:
-            ids.extend(
-                self.subvocab.id(s) for s in bpe_encode(text, self.bpe_model)
-            )
-        # Leave room to generate candidate subtokens.
-        cap = self.config.context_len - self.max_subtokens
-        return ids[-cap:]
-
-    def _next_distribution(self, ids: Sequence[int]) -> np.ndarray:
-        probs = forward(
-            self.params, ids, self.config, pad_id=self.subvocab.pad_id
-        )[-1].astype(np.float64)
-        probs[self.subvocab.unk_id] = 0.0
-        probs[self.subvocab.pad_id] = 0.0
-        return probs
-
-    def topk(self, context_texts: Sequence[str], k: int) -> list[tuple[str, float]]:
-        from .bpe import bpe_decode
-
-        base = self._context_ids(context_texts)
-        beams: list[tuple[list[int], float]] = [([], 1.0)]
-        completed: dict[str, float] = {}
-        for _ in range(self.max_subtokens):
-            expansions: list[tuple[list[int], float]] = []
-            for sub_ids, p in beams:
-                dist = self._next_distribution(base + sub_ids)
-                top = np.argsort(-dist)[: self.beam_width]
-                for token_id in top:
-                    if dist[token_id] <= 0.0:
-                        continue
-                    expansions.append((sub_ids + [int(token_id)], p * float(dist[token_id])))
-            if not expansions:
-                break
-            expansions.sort(key=lambda bp: -bp[1])
-            beams = []
-            for sub_ids, p in expansions[: self.beam_width]:
-                last = self.subvocab.text(sub_ids[-1])
-                if last.endswith(self.bpe_model.end_marker):
-                    words, partial = bpe_decode(
-                        [self.subvocab.text(i) for i in sub_ids]
-                    )
-                    if words and partial is None:
-                        text = words[0]
-                        completed[text] = max(completed.get(text, 0.0), p)
-                        continue
-                beams.append((sub_ids, p))
-            if not beams:
-                break
-        ranked = sorted(completed.items(), key=lambda tp: (-tp[1], tp[0]))[:k]
-        total = sum(p for _, p in ranked)
-        if total <= 0.0:
-            return []
-        return [(text, p / total) for text, p in ranked]
-
-    def prob(self, context_texts: Sequence[str], candidate: str) -> float:
-        """Teacher-forced product of the candidate's subtoken
-        probabilities."""
-        from .bpe import bpe_encode
-
-        ids = self._context_ids(context_texts)
-        p = 1.0
-        for sub in bpe_encode(candidate, self.bpe_model):
-            sub_id = self.subvocab.id(sub)
-            dist = self._next_distribution(ids)
-            p *= float(dist[sub_id])
-            if p == 0.0:
-                return 0.0
-            ids = ids + [sub_id]
-        return p
 
 
 # --------------------------------------------------------------------------

@@ -109,19 +109,6 @@ def encode(
     return out
 
 
-def coverage(vocab: Vocabulary, tokens: Iterable[Token | str]) -> float:
-    """Fraction of token occurrences whose text is in the vocabulary."""
-    total = 0
-    covered = 0
-    for text in _texts(tokens):
-        total += 1
-        if text in vocab:
-            covered += 1
-    if total == 0:
-        raise ValueError("coverage of an empty stream is undefined")
-    return covered / total
-
-
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
     """Write `token<TAB>id` lines sorted by id."""
     with open(path, "w", encoding="utf-8") as fp:

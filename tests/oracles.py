@@ -105,44 +105,6 @@ class BruteForceKN:
         return max(c - self._discount_of(c, d), 0.0) / total + gamma * self._p(h[1:], w)
 
 
-def naive_bpe_merges(token_counts: dict[str, int], vocab_size: int):
-    """Reference merge learning: full pair recount on every iteration."""
-    alphabet = {ch for text in token_counts for ch in text}
-    budget = vocab_size - len(alphabet) - 2
-    words = [(list(text) + ["</w>"], freq) for text, freq in token_counts.items()]
-    merges = []
-    while len(merges) < budget:
-        pairs = Counter()
-        for symbols, freq in words:
-            for i in range(len(symbols) - 1):
-                pairs[(symbols[i], symbols[i + 1])] += freq
-        if not pairs:
-            break
-        best = min(pairs, key=lambda p: (-pairs[p], p))
-        if pairs[best] < 2:
-            break
-        merges.append(best)
-        joined = best[0] + best[1]
-        new_words = []
-        for symbols, freq in words:
-            out = []
-            i = 0
-            while i < len(symbols):
-                if (
-                    i + 1 < len(symbols)
-                    and symbols[i] == best[0]
-                    and symbols[i + 1] == best[1]
-                ):
-                    out.append(joined)
-                    i += 2
-                else:
-                    out.append(symbols[i])
-                    i += 1
-            new_words.append((out, freq))
-        words = new_words
-    return merges
-
-
 def welch_p_by_integration(sample_a, sample_b) -> float:
     """Two-sided Welch p-value via numerical integration of the
     t-distribution density (quadrature, not the incomplete beta)."""

@@ -200,7 +200,6 @@ def test_ngram_path_end_to_end(tmp_path, monkeypatch, capsys):
          "--event-rate", "0.2", "--with-edit"],
         ["train-vocab", *out, "--train", trains],
         ["train-ngram", *out, "--train", trains],
-        ["train-bpe", *out, "--train", "completion", "--bpe-vocab-size", "300"],
         ["evaluate", *out, "--models", "ngram", "--train", trains,
          "--eval", "committed,completion,edit", "--n-examples", "30"],
         ["analyze", *out, "--train", trains, "--eval", "completion", "--n-examples", "30"],
@@ -213,12 +212,8 @@ def test_ngram_path_end_to_end(tmp_path, monkeypatch, capsys):
         model_dir = ws / "models" / name
         assert (model_dir / "vocab.tsv").exists() and (model_dir / "ngram.json").exists()
         manifest = json.loads((model_dir / "manifest.json").read_text())
-        if name == "completion":
-            assert manifest["command"] == "train-bpe"
-        else:
-            assert manifest["command"] == "train-ngram"
-            assert manifest["params"]["window"] == 100
-    assert (ws / "models" / "completion" / "bpe.merges.txt").exists()
+        assert manifest["command"] == "train-ngram"
+        assert manifest["params"]["window"] == 100
     assert not (ws / "corpora").exists()
     report = json.loads((ws / "reports" / "eval.json").read_text())
     assert [(c["train"], c["eval"]) for c in report["cells"]] == [
@@ -293,13 +288,15 @@ def test_completion_events_without_valid_or_test_get_an_error(tmp_path, capsys, 
 
 def test_removed_window_key_and_build_corpus_command(tmp_path, capsys):
     out = tmp_path / "ws"
-    rc, stdout, stderr = _run_with_config(
-        tmp_path, capsys, {"window": 50}, ["datagen", "--out", str(out)]
-    )
-    assert rc == 1 and stdout == ""
-    assert stderr == "error: unknown config key 'window'\n"
-    assert not out.exists()
-    with pytest.raises(SystemExit) as exc:
-        main(["build-corpus", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "invalid choice: 'build-corpus'" in capsys.readouterr().err
+    for key, value in (("window", 50), ("bpe_vocab_size", 300)):
+        rc, stdout, stderr = _run_with_config(
+            tmp_path, capsys, {key: value}, ["datagen", "--out", str(out)]
+        )
+        assert rc == 1 and stdout == ""
+        assert stderr == f"error: unknown config key {key!r}\n"
+        assert not out.exists()
+    for command in ("build-corpus", "train-bpe"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err

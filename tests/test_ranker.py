@@ -276,6 +276,13 @@ def test_tcp_round_trip():
             fp.write("\nnot json\n")
             fp.flush()
             assert json.loads(fp.readline()) == {"error": "parse", "line": 5}
+            # Bytes that are not UTF-8 are a parse error, not a dropped
+            # connection: the request after them is still answered.
+            conn.sendall(b"\xff\xfe\n")
+            assert json.loads(fp.readline()) == {"error": "parse", "line": 6}
+            fp.write(json.dumps({"request_id": "t6", "candidates": ["map"]}) + "\n")
+            fp.flush()
+            assert json.loads(fp.readline())["request_id"] == "t6"
     finally:
         server.shutdown()
         server.server_close()

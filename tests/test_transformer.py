@@ -7,7 +7,6 @@ import pytest
 
 from complab import autograd as ag
 from complab import transformer as tf
-from complab.bpe import BpeModel, subtoken_vocab
 from complab.ranker import serve_stream
 from complab.transformer import (
     DivergenceError,
@@ -21,10 +20,8 @@ from complab.transformer import (
     loss,
     param_checksum,
     save_params,
-    simulate_early_stopping,
     small_config,
     train,
-    train_steps,
 )
 from complab.vocab import Vocabulary
 
@@ -244,13 +241,22 @@ def test_grad_check_requires_float64():
         grad_check(params, np.array([[2, 3, 4]]), CONFIG)
 
 
+def _stop_on(valid_losses):
+    """(stopped_epoch, best_epoch) of a default stopper fed the trace."""
+    stopper = EarlyStopper()
+    for v in valid_losses:
+        if stopper.update(v):
+            break
+    return stopper.epoch, stopper.best_epoch
+
+
 def test_early_stopping_patience_trace():
-    assert simulate_early_stopping([5.0, 4.0, 4.1, 4.2]) == (4, 2)
+    assert _stop_on([5.0, 4.0, 4.1, 4.2]) == (4, 2)
 
 
 def test_early_stopping_strictly_decreasing_hits_cap():
     losses = [10.0 - 0.5 * i for i in range(20)]
-    assert simulate_early_stopping(losses) == (15, 15)
+    assert _stop_on(losses) == (15, 15)
 
 
 def test_early_stopping_never_stops_before_three_epochs():
@@ -297,12 +303,24 @@ def test_train_divergence_reports_last_state():
         train(config, seqs, seqs[:2])
 
 
+def _fit(params, batch, config, steps):
+    """`steps` Adam steps on one batch; the per-step losses."""
+    opt = ag.Adam(
+        params,
+        lr=config.lr,
+        warmup_steps=config.warmup_steps,
+        clip_norm=config.clip_norm,
+    )
+    batch = np.asarray(batch, dtype=np.int64)
+    return [tf._train_step(params, opt, batch, config, pad_id=1) for _ in range(steps)]
+
+
 def test_overfit_smoke():
     rng = np.random.default_rng(2)
     seq = list(rng.integers(2, 24, size=8))
     config = small_config(vocab_size=24, context_len=16, seed=0)
     params = init_params(config, dtype=np.float32)
-    losses = train_steps(params, [seq] * 32, config, steps=500)
+    losses = _fit(params, [seq] * 32, config, steps=500)
     assert min(losses) < 0.1
 
 
@@ -312,7 +330,7 @@ def test_topk_after_memorization():
     config = small_config(vocab_size=len(vocab), context_len=12, seed=1)
     params = init_params(config, dtype=np.float32)
     seq = [vocab.id("a"), vocab.id("b")] * 5
-    train_steps(params, [seq] * 8, config, steps=200)
+    _fit(params, [seq] * 8, config, steps=200)
     top = tf.TransformerCompleter(params, config, vocab).topk(["a"], 2)
     assert top[0][0] == "b"
     probs = [p for _, p in top]
@@ -336,37 +354,3 @@ def test_save_load_round_trip(tmp_path):
     loaded, loaded_config = load_params(path)
     assert loaded_config == config
     assert param_checksum(loaded) == param_checksum(params)
-
-
-class _StubSubtokenModel:
-    """Distribution stub for the BPE beam search: deterministic next-token
-    probabilities independent of position."""
-
-    def __init__(self, vocab, table):
-        self.vocab = vocab
-        self.table = table
-
-    def dist(self, ids):
-        out = np.zeros(len(self.vocab))
-        for text, p in self.table.items():
-            out[self.vocab.id(text)] = p
-        return out
-
-
-def test_bpe_completer_product_rule():
-    # Candidate whose subtokens each have probability 1 ranks first.
-    bpe_model = BpeModel(
-        merges=[("f", "o"), ("fo", "o"), ("foo", "</w>"), ("b", "a")],
-        alphabet=frozenset("fobar"),
-        vocab_size=32,
-    )
-    sv = subtoken_vocab(bpe_model)
-    config = small_config(vocab_size=len(sv), context_len=24, seed=0)
-    completer = tf.BpeTransformerCompleter(
-        init_params(config, dtype=np.float64), config, sv, bpe_model, beam_width=4
-    )
-    stub = _StubSubtokenModel(sv, {"foo</w>": 1.0})
-    completer._next_distribution = lambda ids: stub.dist(ids)  # type: ignore
-    top = completer.topk(["ba"], 3)
-    assert top[0] == ("foo", 1.0)
-    assert completer.prob(["ba"], "foo") == pytest.approx(1.0)

@@ -6,7 +6,6 @@ from complab.vocab import (
     UNK,
     Vocabulary,
     build_vocab,
-    coverage,
     encode,
     load_vocab,
     save_vocab,
@@ -61,11 +60,6 @@ def test_encode_rejects_tiny_window():
     v = build_vocab([["a"]], max_size=5)
     with pytest.raises(ValueError):
         encode(["a"], v, window=1)
-
-
-def test_coverage():
-    v = build_vocab([["a", "b"]], max_size=10)
-    assert coverage(v, ["a", "b", "zzz", "a"]) == pytest.approx(0.75)
 
 
 def test_specials_not_members():
