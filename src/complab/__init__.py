@@ -5,17 +5,18 @@ Trains n-gram and decoder-only transformer language models on code corpora
 evaluates them offline with top-1 accuracy and MRR@10, ranks completion
 candidates behind a line-oriented service with a threshold/promotion rule,
 and quantifies corpus drift and A/B outcomes.
+
+Every exported name is used by a command or by the benchmark. The gradient
+check and the other test oracles live with the tests.
 """
 
 from .lexer import LexError, Token, TokenKind, is_identifier_like, tokenize
 from .vocab import Vocabulary, build_vocab, encode
 from .corpus import (
     CompletionEvent,
-    CorpusKind,
     EvalExample,
     FileRecord,
     events_to_examples,
-    filter_recent,
     sample_identifier_targets,
     split,
 )
@@ -26,12 +27,11 @@ from .transformer import (
     TransformerConfig,
     TrainLog,
     forward,
-    grad_check,
     loss,
     train,
 )
 from .evalsuite import EvalReport, evaluate
-from .ranker import RankRequest, RankResponse, rank
+from .ranker import RankResponse, rank
 from .abtest import AbObservation, AbReport, aggregate, assign_group, compare
 
 __version__ = "0.1.0"

@@ -91,16 +91,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward=backward) if _needs_graph(a, b) else Tensor(out_data)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(out_data, parents=(a, b), backward=backward) if _needs_graph(a, b) else Tensor(out_data)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     out_data = a.data * s
 

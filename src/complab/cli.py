@@ -14,6 +14,7 @@ flags win over config values, which win over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -130,15 +131,10 @@ def cmd_datagen(args, config) -> int:
     }
     for profile in profiles:
         if files or tokens_per_file:
-            profile = datagen.DomainProfile(
-                name=profile.name,
-                mean_token_len=profile.mean_token_len,
-                frac_len_le6=profile.frac_len_le6,
-                frac_local_var=profile.frac_local_var,
-                vocab_pool_weights=profile.vocab_pool_weights,
+            profile = dataclasses.replace(
+                profile,
                 files=files or profile.files,
                 tokens_per_file=tokens_per_file or profile.tokens_per_file,
-                recency_modified_frac=profile.recency_modified_frac,
             )
         records, events = datagen.generate(profile, seed, event_rate=event_rate)
         root = pipeline.data_dir(out, profile.name)
@@ -215,11 +211,6 @@ def _transformer_config(profile: str, vocab_size: int, seed: int, epochs):
     if profile == "desk":
         config = tf_mod.TransformerConfig(
             vocab_size=vocab_size,
-            context_len=WINDOW,
-            d_model=128,
-            n_layers=6,
-            n_heads=4,
-            d_ff=512,
             dropout=0.1,
             seed=seed,
             max_epochs=epochs or tf_mod.MAX_EPOCHS,

@@ -1,9 +1,11 @@
-"""Dataset kinds, split/sampling operations, and corpus file formats.
+"""Corpus records, split/sampling operations, and corpus file formats.
 
-Three corpus flavors flow through the lab: token streams from committed-like
-source files, logged completion acceptance events, and edit snapshots.
-Splitting is a deterministic hash of record identity so reruns and
-cross-process invocations agree byte-for-byte.
+Three corpora flow through the lab: committed-like source files, logged
+completion acceptance events, and edit snapshots. Files and edit snapshots
+are `FileRecord`s, events are `CompletionEvent`s, and an `EvalExample` is a
+context and its target, whichever corpus it came from. Splitting is a
+deterministic hash of record identity so reruns and cross-process
+invocations agree byte-for-byte.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import json
 import logging
 import random
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,12 +25,6 @@ log = logging.getLogger(__name__)
 # Events and evaluation examples keep at most this many context tokens, and
 # training streams are cut into windows of this many token ids.
 WINDOW = 100
-
-
-class CorpusKind(Enum):
-    COMMITTED = "committed"
-    COMPLETION_EVENTS = "completion_events"
-    EDIT_SNAPSHOTS = "edit_snapshots"
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,7 +55,6 @@ class CompletionEvent:
 class EvalExample:
     context: tuple[Token, ...]
     target: Token
-    source_kind: CorpusKind
 
     def __post_init__(self):
         if not self.context:
@@ -101,10 +95,7 @@ def split(
 
 
 def sample_identifier_targets(
-    files: Sequence[FileRecord],
-    n: int,
-    seed: int,
-    source_kind: CorpusKind = CorpusKind.COMMITTED,
+    files: Sequence[FileRecord], n: int, seed: int
 ) -> list[EvalExample]:
     """Uniformly sample identifier-like positions with at least one
     preceding token; context is capped at the most recent WINDOW
@@ -126,9 +117,7 @@ def sample_identifier_targets(
     for fi, pos in sorted(chosen):
         tokens = files[fi].tokens
         context = tokens[max(0, pos - WINDOW) : pos]
-        examples.append(
-            EvalExample(context=context, target=tokens[pos], source_kind=source_kind)
-        )
+        examples.append(EvalExample(context=context, target=tokens[pos]))
     return examples
 
 
@@ -142,24 +131,8 @@ def events_to_examples(
         if not event.context:
             skipped += 1
             continue
-        examples.append(
-            EvalExample(
-                context=event.context,
-                target=event.accepted,
-                source_kind=CorpusKind.COMPLETION_EVENTS,
-            )
-        )
+        examples.append(EvalExample(context=event.context, target=event.accepted))
     return examples, skipped
-
-
-def filter_recent(
-    files: Iterable[FileRecord], cutoff_days: int, now: float
-) -> list[FileRecord]:
-    """Files modified within the last `cutoff_days` days as of `now`."""
-    if cutoff_days <= 0:
-        raise ValueError("cutoff_days must be positive")
-    horizon = cutoff_days * 86400
-    return [f for f in files if now - f.last_modified <= horizon]
 
 
 # --------------------------------------------------------------------------
@@ -179,22 +152,16 @@ def event_to_record(event: CompletionEvent) -> dict:
 
 
 def tokens_from_texts(texts: Iterable[str]) -> tuple[Token, ...]:
-    out = []
-    offset = 0
-    for text in texts:
-        out.append(Token(text, classify_text(text), offset))
-        offset += len(text.encode("utf-8")) + 1
-    return tuple(out)
+    return tuple(Token(text, classify_text(text)) for text in texts)
 
 
 def event_from_record(record: dict) -> CompletionEvent:
     context = tokens_from_texts(record["context"])
     accepted_text = record["accepted"]
     kind = TokenKind(record.get("accepted_kind", classify_text(accepted_text).value))
-    offset = context[-1].byte_offset + 2 if context else 0
     return CompletionEvent(
         context=context,
-        accepted=Token(accepted_text, kind, offset),
+        accepted=Token(accepted_text, kind),
         developer_id=record["developer_id"],
         timestamp=float(record["timestamp"]),
         file_id=record["file_id"],

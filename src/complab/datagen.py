@@ -19,10 +19,9 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from .corpus import WINDOW, CompletionEvent, FileRecord, tokens_from_texts
-from .lexer import TokenKind, is_identifier_like
+from .lexer import is_identifier_like
 
 # Fixed "now" anchor so recency metadata is reproducible.
 GENERATION_EPOCH = 1_700_000_000.0
@@ -359,31 +358,3 @@ def generate(
                 )
     return files, events
 
-
-def measure_marginals(
-    files: Iterable[FileRecord], now: float = GENERATION_EPOCH
-) -> dict[str, float]:
-    """Observed identifier marginals of a generated corpus."""
-    lengths: list[int] = []
-    locals_count = 0
-    n_files = 0
-    n_recent = 0
-    for record in files:
-        n_files += 1
-        if now - record.last_modified <= 90 * DAY:
-            n_recent += 1
-        for token in record.tokens:
-            if is_identifier_like(token.kind):
-                lengths.append(len(token.text))
-                if token.kind is TokenKind.LOCAL_VARIABLE:
-                    locals_count += 1
-    if not lengths:
-        raise ValueError("no identifiers found")
-    n = len(lengths)
-    return {
-        "identifiers": float(n),
-        "mean_len": sum(lengths) / n,
-        "frac_len_le6": sum(1 for x in lengths if x <= 6) / n,
-        "frac_local_var": locals_count / n,
-        "recent_file_frac": n_recent / n_files if n_files else 0.0,
-    }

@@ -1,6 +1,6 @@
 """Generic C-family lexer for code corpora.
 
-Produces a flat token stream with per-token kind classification. The surface
+Produces a flat token stream; each token is its text and its kind. The surface
 is deliberately small: `$`-sigiled variables, identifiers, a fixed keyword
 table, single/double-quoted strings with backslash escapes, decimal/float
 numbers, and 1-3 character punctuation with maximal munch. Comments and
@@ -8,7 +8,8 @@ whitespace are dropped; they never appear as completion targets.
 
 Whitespace inside string literals is rewritten to escape sequences so that
 every emitted token text is whitespace-free and the stream round-trips
-through a single-space join.
+through a single-space join. Tokens carry no position: only a LexError
+reports one, as the UTF-8 byte offset where the bad lexeme starts.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class TokenKind(enum.Enum):
 class Token:
     text: str
     kind: TokenKind
-    byte_offset: int
 
 
 # Fixed 30-entry keyword table. Kind-share analyses need a stable keyword
@@ -78,6 +78,11 @@ def _escape_ws(ch: str) -> str:
     return "\\u%04x" % ord(ch)
 
 
+def _byte_offset(text: str, i: int) -> int:
+    """UTF-8 byte offset of character `i`, for error reports."""
+    return len(text[:i].encode("utf-8"))
+
+
 def tokenize(text: str) -> list[Token]:
     """Lex `text` into tokens, dropping comments and whitespace.
 
@@ -87,29 +92,21 @@ def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     i = 0
     n = len(text)
-    # Byte offsets track the UTF-8 encoding of the prefix consumed so far.
-    byte_pos = 0
-
-    def advance(k: int) -> None:
-        nonlocal i, byte_pos
-        byte_pos += len(text[i : i + k].encode("utf-8"))
-        i += k
 
     while i < n:
         ch = text[i]
         if ch.isspace():
-            advance(1)
+            i += 1
             continue
-        start_byte = byte_pos
         if ch == "/" and i + 1 < n and text[i + 1] == "/":
             j = text.find("\n", i)
-            advance((n if j < 0 else j) - i)
+            i = n if j < 0 else j
             continue
         if ch == "/" and i + 1 < n and text[i + 1] == "*":
             j = text.find("*/", i + 2)
             if j < 0:
-                raise LexError("unterminated block comment", start_byte)
-            advance(j + 2 - i)
+                raise LexError("unterminated block comment", _byte_offset(text, i))
+            i = j + 2
             continue
         if ch in ("'", '"'):
             quote = ch
@@ -117,11 +114,11 @@ def tokenize(text: str) -> list[Token]:
             body: list[str] = []
             while True:
                 if j >= n:
-                    raise LexError("unterminated string literal", start_byte)
+                    raise LexError("unterminated string literal", _byte_offset(text, i))
                 c = text[j]
                 if c == "\\":
                     if j + 1 >= n:
-                        raise LexError("unterminated string literal", start_byte)
+                        raise LexError("unterminated string literal", _byte_offset(text, i))
                     body.append(text[j : j + 2])
                     j += 2
                     continue
@@ -130,17 +127,17 @@ def tokenize(text: str) -> list[Token]:
                 body.append(_escape_ws(c) if c.isspace() else c)
                 j += 1
             lexeme = quote + "".join(body) + quote
-            tokens.append(Token(lexeme, TokenKind.STRING_LITERAL, start_byte))
-            advance(j + 1 - i)
+            tokens.append(Token(lexeme, TokenKind.STRING_LITERAL))
+            i = j + 1
             continue
         if ch == "$":
             j = i + 1
             if j >= n or text[j] not in _IDENT_START:
-                raise LexError("stray '$' without variable name", start_byte)
+                raise LexError("stray '$' without variable name", _byte_offset(text, i))
             while j < n and text[j] in _IDENT_CONT:
                 j += 1
-            tokens.append(Token(text[i:j], TokenKind.LOCAL_VARIABLE, start_byte))
-            advance(j - i)
+            tokens.append(Token(text[i:j], TokenKind.LOCAL_VARIABLE))
+            i = j
             continue
         if ch in _IDENT_START:
             j = i + 1
@@ -148,8 +145,8 @@ def tokenize(text: str) -> list[Token]:
                 j += 1
             word = text[i:j]
             kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENTIFIER
-            tokens.append(Token(word, kind, start_byte))
-            advance(j - i)
+            tokens.append(Token(word, kind))
+            i = j
             continue
         if ch in _DIGITS:
             j = i + 1
@@ -167,24 +164,24 @@ def tokenize(text: str) -> list[Token]:
                     j = k + 1
                     while j < n and text[j] in _DIGITS:
                         j += 1
-            tokens.append(Token(text[i:j], TokenKind.NUMBER_LITERAL, start_byte))
-            advance(j - i)
+            tokens.append(Token(text[i:j], TokenKind.NUMBER_LITERAL))
+            i = j
             continue
         three = text[i : i + 3]
         if three in _PUNCT3:
-            tokens.append(Token(three, TokenKind.PUNCTUATION, start_byte))
-            advance(3)
+            tokens.append(Token(three, TokenKind.PUNCTUATION))
+            i += 3
             continue
         two = text[i : i + 2]
         if two in _PUNCT2:
-            tokens.append(Token(two, TokenKind.PUNCTUATION, start_byte))
-            advance(2)
+            tokens.append(Token(two, TokenKind.PUNCTUATION))
+            i += 2
             continue
         if ch in _PUNCT1:
-            tokens.append(Token(ch, TokenKind.PUNCTUATION, start_byte))
-            advance(1)
+            tokens.append(Token(ch, TokenKind.PUNCTUATION))
+            i += 1
             continue
-        raise LexError(f"unexpected character {ch!r}", start_byte)
+        raise LexError(f"unexpected character {ch!r}", _byte_offset(text, i))
     return tokens
 
 

@@ -18,17 +18,11 @@ from pathlib import Path
 from typing import Sequence
 
 from . import corpus as corpus_mod
-from .corpus import WINDOW, CompletionEvent, CorpusKind, EvalExample, FileRecord
+from .corpus import WINDOW, CompletionEvent, EvalExample, FileRecord
 from .vocab import Vocabulary, encode
 
 UNION = "union"
 UNION_PARTS = ("committed", "completion")
-
-_KIND_BY_NAME = {
-    "committed": CorpusKind.COMMITTED,
-    "completion": CorpusKind.COMPLETION_EVENTS,
-    "edit": CorpusKind.EDIT_SNAPSHOTS,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,8 +113,7 @@ def eval_examples(split: Split, n: int, seed: int) -> list[EvalExample]:
     """Held-out evaluation examples from the test records: sampled
     identifier targets for files, accepted completions for events."""
     if split.test and isinstance(split.test[0], FileRecord):
-        kind = _KIND_BY_NAME.get(split.name, CorpusKind.COMMITTED)
-        return corpus_mod.sample_identifier_targets(split.test, n, seed, source_kind=kind)
+        return corpus_mod.sample_identifier_targets(split.test, n, seed)
     examples, _ = corpus_mod.events_to_examples(split.test)
     if len(examples) > n:
         examples = random.Random(seed).sample(examples, n)

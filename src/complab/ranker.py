@@ -33,20 +33,6 @@ class ProtocolError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class RankRequest:
-    request_id: str
-    developer_id: str
-    context: tuple[str, ...]
-    candidates: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.candidates:
-            raise ProtocolError("candidates must be non-empty")
-        if len(set(self.candidates)) != len(self.candidates):
-            raise ProtocolError("candidates must be unique")
-
-
-@dataclass(frozen=True, slots=True)
 class RankResponse:
     request_id: str
     ranked: tuple[str, ...]
@@ -145,25 +131,25 @@ def _handle_line(
         log_acceptance(acceptance_log, payload, group)
         return json.dumps({"logged": True})
     try:
-        request = RankRequest(
-            request_id=str(payload["request_id"]),
-            developer_id=str(payload.get("developer_id", "")),
-            context=_strings(payload.get("context", []), "context"),
-            candidates=_strings(payload["candidates"], "candidates"),
-        )
+        request_id = str(payload["request_id"])
+        context = _strings(payload.get("context", []), "context")
+        candidates = _strings(payload["candidates"], "candidates")
     except (KeyError, TypeError) as exc:
         return json.dumps({"error": "protocol", "detail": str(exc), "line": line_no})
     except ProtocolError as exc:
         return _request_error("protocol", exc, payload)
     try:
         response = rank(
-            request.candidates,
-            request.context,
+            candidates,
+            context,
             score_fn,
             threshold=threshold,
             max_promote=max_promote,
-            request_id=request.request_id,
+            request_id=request_id,
         )
+    except ProtocolError as exc:
+        # Empty or repeated candidates, which rank rejects.
+        return _request_error("protocol", exc, payload)
     except ValueError as exc:
         # The model cannot score this request (an empty context for the
         # transformer); the next line is still served.

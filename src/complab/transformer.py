@@ -3,10 +3,9 @@ engine: token + learned positional embeddings, pre-layer-norm causal
 self-attention blocks with GELU feed-forward, and an untied softmax head.
 
 Training runs Adam with linear warmup and gradient clipping, early-stopped
-on validation loss with patience 2 and a hard cap of 15 epochs. Double
-precision is used for gradient checking; single precision is the training
-default. Inference and validation forwards run on a detached view of the
-parameters, so they record no autograd graph.
+on validation loss with patience 2 and a hard cap of 15 epochs, in single
+precision by default. Inference and validation forwards run on a detached
+view of the parameters, so they record no autograd graph.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, log: "TrainLog | None" = None):
         super().__init__(message)
         self.log = log
-
-
-class GradCheckError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,58 +236,6 @@ def loss(
     return ag.scale(nll, 1.0 / n_real)
 
 
-def grad_check(
-    params: TransformerParams,
-    batch: Sequence[Sequence[int]] | np.ndarray,
-    config: TransformerConfig,
-    h: float = 1e-5,
-    n_coords: int = 200,
-    seed: int = 0,
-    pad_id: int = 1,
-) -> float:
-    """Max relative error between analytic and central-difference gradients
-    over >= n_coords randomly sampled parameter coordinates.
-
-    Relative error falls back to absolute error when both gradients are
-    near zero. Parameters must be double precision.
-    """
-    for name, p in params.items():
-        if p.data.dtype != np.float64:
-            raise GradCheckError(f"grad_check requires float64 params ({name})")
-        p.grad = None
-    out = loss(params, batch, config, pad_id=pad_id)
-    out.backward()
-    analytic = {}
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.isfinite(g).all():
-            bad = np.argwhere(~np.isfinite(g))[0]
-            raise GradCheckError(f"non-finite gradient at {name}[{tuple(bad)}]")
-        analytic[name] = g
-
-    rng = np.random.default_rng(seed)
-    names = sorted(params)
-    sizes = np.array([params[n].data.size for n in names], dtype=np.float64)
-    probs = sizes / sizes.sum()
-    max_err = 0.0
-    for _ in range(n_coords):
-        name = names[rng.choice(len(names), p=probs)]
-        flat_idx = int(rng.integers(params[name].data.size))
-        idx = np.unravel_index(flat_idx, params[name].data.shape)
-        original = params[name].data[idx]
-        params[name].data[idx] = original + h
-        up = float(loss(params, batch, config, pad_id=pad_id).data)
-        params[name].data[idx] = original - h
-        down = float(loss(params, batch, config, pad_id=pad_id).data)
-        params[name].data[idx] = original
-        numeric = (up - down) / (2.0 * h)
-        a = float(analytic[name][idx])
-        denom = max(abs(a), abs(numeric))
-        err = abs(a - numeric) if denom < 1e-8 else abs(a - numeric) / denom
-        max_err = max(max_err, err)
-    return max_err
-
-
 # --------------------------------------------------------------------------
 # Training
 # --------------------------------------------------------------------------
@@ -460,9 +403,8 @@ def train(
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}", log)
         log.train_losses.append(train_loss)
         log.valid_losses.append(valid_loss)
-        improved = stopper.best_value > valid_loss
         stop = stopper.update(valid_loss)
-        if improved:
+        if stopper.best_epoch == stopper.epoch:
             best_snapshot = {k: p.data.copy() for k, p in params.items()}
         if stop:
             break

@@ -15,8 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lexer import Token
-
 UNK = "<unk>"
 PAD = "<pad>"
 
@@ -63,12 +61,7 @@ class Vocabulary:
         return self._lex_rank
 
 
-def _texts(tokens: Iterable[Token | str]) -> Iterable[str]:
-    for t in tokens:
-        yield t if isinstance(t, str) else t.text
-
-
-def build_vocab(corpus: Iterable[Sequence[Token | str]], max_size: int) -> Vocabulary:
+def build_vocab(corpus: Iterable[Sequence[str]], max_size: int) -> Vocabulary:
     """Build a vocabulary from token streams.
 
     Keeps the `max_size` most frequent texts; ties broken by ascending
@@ -79,7 +72,7 @@ def build_vocab(corpus: Iterable[Sequence[Token | str]], max_size: int) -> Vocab
         raise ValueError("max_size must be >= 1")
     counts: Counter[str] = Counter()
     for stream in corpus:
-        counts.update(_texts(stream))
+        counts.update(stream)
     counts.pop(UNK, None)
     counts.pop(PAD, None)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
@@ -89,17 +82,15 @@ def build_vocab(corpus: Iterable[Sequence[Token | str]], max_size: int) -> Vocab
     return Vocabulary(id_of=id_of, max_size=max_size)
 
 
-def encode(
-    tokens: Sequence[Token | str], vocab: Vocabulary, window: int
-) -> list[list[int]]:
-    """Encode a token stream as non-overlapping windows of ids.
+def encode(texts: Sequence[str], vocab: Vocabulary, window: int) -> list[list[int]]:
+    """Encode a token-text stream as non-overlapping windows of ids.
 
     OOV texts map to unk_id; the final short window is right-padded with
     pad_id so every window has exactly `window` ids.
     """
     if window < 2:
         raise ValueError("window must be >= 2")
-    ids = [vocab.id(t) for t in _texts(tokens)]
+    ids = [vocab.id(t) for t in texts]
     out: list[list[int]] = []
     for start in range(0, len(ids), window):
         chunk = ids[start : start + window]
@@ -116,7 +107,7 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
             fp.write(f"{vocab.text_of[token_id]}\t{token_id}\n")
 
 
-def load_vocab(path: str | Path, max_size: int | None = None) -> Vocabulary:
+def load_vocab(path: str | Path) -> Vocabulary:
     id_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as fp:
         for line in fp:
@@ -125,5 +116,4 @@ def load_vocab(path: str | Path, max_size: int | None = None) -> Vocabulary:
                 continue
             text, _, raw_id = line.rpartition("\t")
             id_of[text] = int(raw_id)
-    size = max_size if max_size is not None else max(len(id_of) - 2, 1)
-    return Vocabulary(id_of=id_of, max_size=size)
+    return Vocabulary(id_of=id_of, max_size=max(len(id_of) - 2, 1))

@@ -1,13 +1,22 @@
-"""Independent brute-force oracles used to cross-check the main
-implementations. Deliberately naive: direct transcriptions of the defining
-formulas with per-query rescanning, sharing no code or data layout with the
-package under test.
+"""Independent oracles used to cross-check the main implementations.
+
+Deliberately naive: direct transcriptions of the defining formulas with
+per-query rescanning (Kneser-Ney, Welch's test), central differences
+against the transformer's analytic gradients, and direct counts of a
+generated corpus's marginals. Beyond the function they check, they share no
+code or data layout with the package under test.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+
+import numpy as np
+
+from complab.datagen import DAY, GENERATION_EPOCH
+from complab.lexer import TokenKind, is_identifier_like
+from complab.transformer import loss
 
 
 class BruteForceKN:
@@ -128,3 +137,78 @@ def welch_p_by_integration(sample_a, sample_b) -> float:
 
     tail, _ = integrate.quad(density, abs(t), math.inf)
     return 2.0 * tail
+
+
+class GradCheckError(RuntimeError):
+    pass
+
+
+def grad_check(params, batch, config, h=1e-5, n_coords=200, seed=0, pad_id=1) -> float:
+    """Max relative error between analytic and central-difference gradients
+    over >= n_coords randomly sampled parameter coordinates.
+
+    Relative error falls back to absolute error when both gradients are
+    near zero. Parameters must be double precision.
+    """
+    for name, p in params.items():
+        if p.data.dtype != np.float64:
+            raise GradCheckError(f"grad_check requires float64 params ({name})")
+        p.grad = None
+    out = loss(params, batch, config, pad_id=pad_id)
+    out.backward()
+    analytic = {}
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if not np.isfinite(g).all():
+            bad = np.argwhere(~np.isfinite(g))[0]
+            raise GradCheckError(f"non-finite gradient at {name}[{tuple(bad)}]")
+        analytic[name] = g
+
+    rng = np.random.default_rng(seed)
+    names = sorted(params)
+    sizes = np.array([params[n].data.size for n in names], dtype=np.float64)
+    probs = sizes / sizes.sum()
+    max_err = 0.0
+    for _ in range(n_coords):
+        name = names[rng.choice(len(names), p=probs)]
+        flat_idx = int(rng.integers(params[name].data.size))
+        idx = np.unravel_index(flat_idx, params[name].data.shape)
+        original = params[name].data[idx]
+        params[name].data[idx] = original + h
+        up = float(loss(params, batch, config, pad_id=pad_id).data)
+        params[name].data[idx] = original - h
+        down = float(loss(params, batch, config, pad_id=pad_id).data)
+        params[name].data[idx] = original
+        numeric = (up - down) / (2.0 * h)
+        a = float(analytic[name][idx])
+        denom = max(abs(a), abs(numeric))
+        err = abs(a - numeric) if denom < 1e-8 else abs(a - numeric) / denom
+        max_err = max(max_err, err)
+    return max_err
+
+
+def measure_marginals(files, now: float = GENERATION_EPOCH) -> dict[str, float]:
+    """Observed identifier marginals of a generated corpus."""
+    lengths: list[int] = []
+    locals_count = 0
+    n_files = 0
+    n_recent = 0
+    for record in files:
+        n_files += 1
+        if now - record.last_modified <= 90 * DAY:
+            n_recent += 1
+        for token in record.tokens:
+            if is_identifier_like(token.kind):
+                lengths.append(len(token.text))
+                if token.kind is TokenKind.LOCAL_VARIABLE:
+                    locals_count += 1
+    if not lengths:
+        raise ValueError("no identifiers found")
+    n = len(lengths)
+    return {
+        "identifiers": float(n),
+        "mean_len": sum(lengths) / n,
+        "frac_len_le6": sum(1 for x in lengths if x <= 6) / n,
+        "frac_local_var": locals_count / n,
+        "recent_file_frac": n_recent / n_files if n_files else 0.0,
+    }

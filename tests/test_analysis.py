@@ -13,18 +13,15 @@ from complab.analysis import (
     write_length_cdf_csv,
     write_oov_rates_csv,
 )
-from complab.corpus import CorpusKind, EvalExample
+from complab.corpus import EvalExample
 from complab.lexer import Token, TokenKind, classify_text
 from complab.vocab import build_vocab
 
 
 def _example(target, context=("a", "b")):
     return EvalExample(
-        context=tuple(
-            Token(t, classify_text(t), i * 4) for i, t in enumerate(context)
-        ),
-        target=Token(target, classify_text(target), 99),
-        source_kind=CorpusKind.COMMITTED,
+        context=tuple(Token(t, classify_text(t)) for t in context),
+        target=Token(target, classify_text(target)),
     )
 
 

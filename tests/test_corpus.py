@@ -4,13 +4,11 @@ import pytest
 
 from complab.corpus import (
     CompletionEvent,
-    CorpusKind,
     EvalExample,
     FileRecord,
     event_from_record,
     event_to_record,
     events_to_examples,
-    filter_recent,
     load_events,
     load_file_corpus,
     sample_identifier_targets,
@@ -31,7 +29,7 @@ def _event(dev="d1", ts=1000.0, accepted="foo", context="$x ="):
     ctx = tuple(tokenize(context))
     return CompletionEvent(
         context=ctx,
-        accepted=Token(accepted, TokenKind.IDENTIFIER, 99),
+        accepted=Token(accepted, TokenKind.IDENTIFIER),
         developer_id=dev,
         timestamp=ts,
         file_id="f1",
@@ -82,16 +80,17 @@ def test_sample_identifier_targets_eligibility():
 def test_sample_identifier_targets_no_duplicates():
     files = [_file("f0", "$a = f($b, $c);")]
     examples = sample_identifier_targets(files, n=100, seed=0)
-    texts = [(e.target.text, e.target.byte_offset) for e in examples]
-    assert len(texts) == len(set(texts)) == 3  # f, $b, $c
+    # A position is its target and the length of the context before it.
+    positions = [(e.target.text, len(e.context)) for e in examples]
+    assert len(positions) == len(set(positions)) == 3  # f, $b, $c
 
 
 def test_sample_identifier_targets_deterministic():
     files = [_file(f"f{i}", "$a = f($b); return g($a);") for i in range(30)]
     a = sample_identifier_targets(files, n=10, seed=5)
     b = sample_identifier_targets(files, n=10, seed=5)
-    assert [(e.target.text, e.target.byte_offset) for e in a] == [
-        (e.target.text, e.target.byte_offset) for e in b
+    assert [(e.target.text, len(e.context)) for e in a] == [
+        (e.target.text, len(e.context)) for e in b
     ]
 
 
@@ -115,14 +114,13 @@ def test_events_to_examples():
     assert skipped == 0
     assert examples[0].target.text == "foo"
     assert [t.text for t in examples[0].context] == ["$x", "="]
-    assert examples[0].source_kind is CorpusKind.COMPLETION_EVENTS
 
 
 def test_events_to_examples_skips_empty_context():
     good = _event()
     empty = CompletionEvent(
         context=(),
-        accepted=Token("foo", TokenKind.IDENTIFIER, 0),
+        accepted=Token("foo", TokenKind.IDENTIFIER),
         developer_id="d",
         timestamp=0.0,
         file_id="f",
@@ -136,31 +134,16 @@ def test_event_requires_identifier_like_accepted():
     with pytest.raises(ValueError):
         CompletionEvent(
             context=tuple(tokenize("$x =")),
-            accepted=Token(";", TokenKind.PUNCTUATION, 0),
+            accepted=Token(";", TokenKind.PUNCTUATION),
             developer_id="d",
             timestamp=0.0,
             file_id="f",
         )
 
 
-def test_filter_recent_boundary():
-    day = 86400.0
-    now = 1000 * day
-    kept = _file("new", "$a = 1;", last_modified=now - 10 * day)
-    dropped = _file("old", "$a = 1;", last_modified=now - 91 * day)
-    out = filter_recent([kept, dropped], cutoff_days=90, now=now)
-    assert [f.file_id for f in out] == ["new"]
-    boundary = _file("edge", "$a = 1;", last_modified=now - 90 * day)
-    assert filter_recent([boundary], 90, now) == [boundary]
-
-
 def test_eval_example_requires_context():
     with pytest.raises(ValueError):
-        EvalExample(
-            context=(),
-            target=Token("x", TokenKind.IDENTIFIER, 0),
-            source_kind=CorpusKind.COMMITTED,
-        )
+        EvalExample(context=(), target=Token("x", TokenKind.IDENTIFIER))
 
 
 def test_event_record_round_trip():

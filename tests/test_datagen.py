@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from complab.corpus import filter_recent
 from complab.datagen import (
     DAY,
     GENERATION_EPOCH,
@@ -12,10 +11,10 @@ from complab.datagen import (
     default_profiles,
     edit_profile,
     generate,
-    measure_marginals,
     solve_length_mixture,
 )
 from complab.lexer import is_identifier_like, join_tokens, tokenize
+from oracles import measure_marginals
 
 
 def small(profile, files=60, tokens_per_file=400):
@@ -130,7 +129,7 @@ def test_recency_fraction_deterministic_count():
     committed, _ = default_profiles()
     profile = small(committed, files=200, tokens_per_file=60)
     files, _ = generate(profile, seed=2)
-    recent = filter_recent(files, cutoff_days=90, now=GENERATION_EPOCH)
+    recent = [f for f in files if GENERATION_EPOCH - f.last_modified <= 90 * DAY]
     assert len(recent) == round(0.2338 * 200)
 
 
@@ -192,4 +191,4 @@ def test_edit_profile_is_valid_and_recent():
     assert math.isclose(sum(profile.vocab_pool_weights.values()), 1.0)
     files, events = generate(small(profile, files=20, tokens_per_file=100), seed=1)
     assert events == []
-    assert len(filter_recent(files, 90, GENERATION_EPOCH)) == 20
+    assert sum(GENERATION_EPOCH - f.last_modified <= 90 * DAY for f in files) == 20

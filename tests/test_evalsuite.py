@@ -1,18 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from complab.corpus import CorpusKind, EvalExample
+from complab.corpus import EvalExample
 from complab.evalsuite import evaluate, report_from_ranks
 from complab.lexer import Token, TokenKind
 
 
 def _example(target, context=("$x", "=")):
     return EvalExample(
-        context=tuple(
-            Token(t, TokenKind.IDENTIFIER, i) for i, t in enumerate(context)
-        ),
-        target=Token(target, TokenKind.IDENTIFIER, 99),
-        source_kind=CorpusKind.COMMITTED,
+        context=tuple(Token(t, TokenKind.IDENTIFIER) for t in context),
+        target=Token(target, TokenKind.IDENTIFIER),
     )
 
 

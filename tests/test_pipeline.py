@@ -7,7 +7,6 @@ from complab import pipeline
 from complab.corpus import (
     WINDOW,
     CompletionEvent,
-    CorpusKind,
     FileRecord,
     save_events,
     save_file_corpus,
@@ -88,7 +87,6 @@ def test_completion_with_events_never_loads_files(tmp_path, monkeypatch):
         assert streams == [["$a", "=", "foo"]] * len(getattr(split, use))
     examples = pipeline.eval_examples(split, 1000, SEED)
     assert len(examples) == len(split.test)
-    assert all(ex.source_kind is CorpusKind.COMPLETION_EVENTS for ex in examples)
     assert all(ex.context_texts == ["$a", "="] and ex.target.text == "foo" for ex in examples)
     with pytest.raises(AssertionError, match="load_file_corpus"):
         pipeline.load_split(root, "committed", SEED)
@@ -129,7 +127,11 @@ def test_streams_and_contexts_are_capped_at_window(tmp_path):
     assert max(len(e.context) for e in events) == WINDOW
     tokens = {f.file_id: f.tokens for f in files}
     for e in events:
-        pos = next(
-            p for p, t in enumerate(tokens[e.file_id]) if t.byte_offset == e.accepted.byte_offset
+        # Positions whose target and context length match the event's.
+        positions = [
+            p for p, t in enumerate(tokens[e.file_id])
+            if t.text == e.accepted.text and min(p, WINDOW) == len(e.context)
+        ]
+        assert any(
+            e.context == tokens[e.file_id][max(0, pos - WINDOW) : pos] for pos in positions
         )
-        assert e.context == tokens[e.file_id][max(0, pos - WINDOW) : pos]

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from complab.ranker import (
     AcceptanceLog,
     ProtocolError,
-    RankRequest,
     log_acceptance,
     rank,
     serve_stream,
@@ -63,8 +62,6 @@ def test_empty_and_duplicate_candidates_rejected():
         rank([], [], _score_from({}))
     with pytest.raises(ProtocolError):
         rank(["a", "a"], [], _score_from({}))
-    with pytest.raises(ProtocolError):
-        RankRequest(request_id="r", developer_id="d", context=(), candidates=())
 
 
 def test_rank_deterministic():
@@ -168,10 +165,17 @@ def test_serve_empty_candidates_protocol_error():
     [
         {"candidates": "abc"},  # a string, not split into characters
         {"candidates": [1, "a"]},  # a non-string candidate
+        {"candidates": ["a", "a"]},  # a repeated candidate
         {"candidates": ["map"], "context": "x ="},
         {"candidates": ["map"], "context": ["x", 2]},
     ],
-    ids=["string-candidates", "int-candidate", "string-context", "int-in-context"],
+    ids=[
+        "string-candidates",
+        "int-candidate",
+        "repeated-candidate",
+        "string-context",
+        "int-in-context",
+    ],
 )
 def test_serve_rejects_malformed_request_and_keeps_going(bad):
     valid = {"request_id": "ok", "context": ["x"], "candidates": ["map", "zip"]}

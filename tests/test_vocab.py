@@ -72,7 +72,7 @@ def test_save_load_round_trip(tmp_path):
     v = build_vocab([["beta", "alpha", "beta", "gamma"]], max_size=100)
     path = tmp_path / "vocab.tsv"
     save_vocab(v, path)
-    loaded = load_vocab(path, max_size=100)
+    loaded = load_vocab(path)
     assert loaded.id_of == v.id_of
     save_vocab(loaded, tmp_path / "again.tsv")
     assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
