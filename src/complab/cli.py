@@ -118,6 +118,9 @@ def cmd_datagen(args, config) -> int:
     files = _resolve(args, config, "files")
     tokens_per_file = _resolve(args, config, "tokens_per_file")
     event_rate = _resolve(args, config, "event_rate")
+    for key, value in (("files", files), ("tokens_per_file", tokens_per_file)):
+        if value is not None and value < 1:
+            raise CliError(f"{key} must be >= 1, got {value}")
     committed, completion = datagen.default_profiles()
     profiles = [committed, completion]
     if args.with_edit:

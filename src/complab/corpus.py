@@ -176,12 +176,20 @@ def save_events(events: Iterable[CompletionEvent], path: str | Path) -> None:
 
 
 def load_events(path: str | Path) -> list[CompletionEvent]:
+    """The events logged at `path`, one JSON record a line; ValueError
+    naming the file and line at the first malformed record."""
     events = []
     with open(path, encoding="utf-8") as fp:
-        for line in fp:
+        for lineno, line in enumerate(fp, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 events.append(event_from_record(json.loads(line)))
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed event record ({type(exc).__name__}: {exc})"
+                ) from exc
     return events
 
 

@@ -30,7 +30,6 @@ class Split:
     """Train, valid and test records of one corpus, all of one kind:
     completion events or files."""
 
-    name: str
     train: list[FileRecord] | list[CompletionEvent]
     valid: list[FileRecord] | list[CompletionEvent]
     test: list[FileRecord] | list[CompletionEvent]
@@ -58,7 +57,7 @@ def load_split(out_root: str | Path, name: str, seed: int) -> Split:
         records = corpus_mod.load_events(events_path)
     else:
         records = corpus_mod.load_file_corpus(root)
-    return Split(name, *corpus_mod.split(records, seed))
+    return Split(*corpus_mod.split(records, seed))
 
 
 def training_splits(out_root: str | Path, name: str, seed: int) -> list[Split]:

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -458,14 +459,21 @@ def save_params(
 
 
 def load_params(path: str | Path) -> tuple[TransformerParams, TransformerConfig]:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["__header__"]).decode())
-        if header.get("version") != 1:
-            raise ValueError("unsupported parameter file version")
-        config = TransformerConfig(**header["config"])
-        params = {
-            name: Tensor(data[name].copy(), requires_grad=True)
-            for name in data.files
-            if name != "__header__"
-        }
+    """The parameters and config saved at `path`; ValueError naming the
+    file when it is not a version 1 parameter file."""
+    try:
+        with open(path, "rb") as fp, np.load(fp) as data:
+            header = json.loads(bytes(data["__header__"]).decode())
+            if header["version"] != 1:
+                raise ValueError(f"unsupported version {header['version']!r}")
+            config = TransformerConfig(**header["config"])
+            params = {
+                name: Tensor(data[name].copy(), requires_grad=True)
+                for name in data.files
+                if name != "__header__"
+            }
+    except (KeyError, TypeError, AttributeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(
+            f"{path}: malformed transformer parameter file ({type(exc).__name__}: {exc})"
+        ) from exc
     return params, config

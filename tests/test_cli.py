@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from complab.abtest import AbObservation, compare
 from complab.cli import _load_config, main
 from complab.corpus import save_events
 from complab.transformer import load_params
-from complab.vocab import load_vocab
+from complab.vocab import build_vocab, load_vocab, save_vocab
 
 
 DAY = 86400.0 * 18000
@@ -235,8 +236,96 @@ def test_ngram_path_end_to_end(tmp_path, monkeypatch, capsys):
     ))
     rc, stdout, _ = _run(capsys, ["serve", "--model", str(ws / "models" / "union" / "ngram.json")])
     assert rc == 0
-    (answer,) = [json.loads(line) for line in stdout.splitlines()]
+    (line,) = stdout.splitlines()
+    answer = json.loads(line)
     assert answer["request_id"] == "r" and sorted(answer["ranked"]) == sorted(words[2:])
+
+    # Byte-identical outputs. A change that alters any of these files on
+    # purpose updates the digest and says why.
+    digests = {
+        "ngram.json": (ws / "models" / "union" / "ngram.json").read_bytes(),
+        "eval.json": (ws / "reports" / "eval.json").read_bytes(),
+        "served line": line.encode(),
+    }
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in digests.items()} == {
+        "ngram.json": "184cf4e210ad5e2839d759ea8e2a2905992895ca541cb85fb01d06701a6e2f23",
+        "eval.json": "deffbb71f584af26e40bd2140b479ebb48859c9486509306048ee2fe6438d9d2",
+        "served line": "eec14d13b2891828c31e968f9ad81df6ffb82bb438538d296df91e5ae737ef81",
+    }
+
+
+def test_datagen_rejects_sizes_below_one_before_writing(tmp_path, capsys):
+    out = tmp_path / "ws"
+    cases = [
+        ({}, ["--files", "0"]),
+        ({}, ["--tokens-per-file", "0"]),
+        ({"files": -1}, []),
+        ({"tokens_per_file": 0}, []),
+    ]
+    for config, flags in cases:
+        rc, stdout, stderr = _run_with_config(
+            tmp_path, capsys, config, ["datagen", "--out", str(out), *flags]
+        )
+        assert rc == 1 and stdout == "", (config, flags)
+        assert stderr.startswith("error: ") and "must be >= 1" in stderr, stderr
+        assert not out.exists()
+
+
+def _bad_ngram_version(ws):
+    path = ws / "ngram.json"
+    path.write_text(json.dumps({"version": 1}), encoding="utf-8")
+    return ["serve", "--model", str(path)]
+
+
+def _bad_ngram_list(ws):
+    path = ws / "ngram.json"
+    path.write_text(json.dumps([1, 2]), encoding="utf-8")
+    return ["serve", "--model", str(path)]
+
+
+def _npz(ws, data):
+    save_vocab(build_vocab([["a", "b"]], max_size=10), ws / "vocab.tsv")
+    path = ws / "transformer.npz"
+    path.write_bytes(data)
+    return ["serve", "--model", str(path)]
+
+
+def _npz_without_header(ws):
+    buffer = io.BytesIO()
+    np.savez(buffer, w=np.zeros(2))
+    return _npz(ws, buffer.getvalue())
+
+
+def _npz_truncated(ws):
+    buffer = io.BytesIO()
+    np.savez(buffer, w=np.zeros(64))
+    return _npz(ws, buffer.getvalue()[:100])
+
+
+def _event_without_context(ws):
+    root = ws / "data" / "completion"
+    root.mkdir(parents=True)
+    record = {"accepted": "x", "developer_id": "d", "timestamp": 0.0, "file_id": "f"}
+    (root / "events.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return ["train-vocab", "--out", str(ws), "--train", "completion"]
+
+
+@pytest.mark.parametrize(
+    "make, where",
+    [
+        (_bad_ngram_version, "ngram.json: "),
+        (_bad_ngram_list, "ngram.json: "),
+        (_npz_without_header, "transformer.npz: "),
+        (_npz_truncated, "transformer.npz: "),
+        (_event_without_context, "events.jsonl:1: "),
+    ],
+    ids=["ngram-no-vocab", "ngram-list", "npz-no-header", "npz-truncated", "event-no-context"],
+)
+def test_malformed_model_and_event_files_get_an_error(tmp_path, capsys, make, where):
+    rc, stdout, stderr = _run(capsys, make(tmp_path))
+    assert rc == 1 and stdout == ""
+    assert stderr.startswith("error: ") and where in stderr, stderr
+    assert "Traceback" not in stderr
 
 
 def test_serve_and_evaluate_report_missing_models_alike(tmp_path, capsys):

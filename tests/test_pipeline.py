@@ -114,12 +114,12 @@ def test_streams_and_contexts_are_capped_at_window(tmp_path):
     long_texts = [f"v{i}" for i in range(WINDOW + 50)]
     (event,) = _events(1, long_texts, "foo")
     assert [t.text for t in event.context] == long_texts[-WINDOW:]
-    assert pipeline.training_streams([pipeline.Split("completion", [event], [], [])]) == [
+    assert pipeline.training_streams([pipeline.Split([event], [], [])]) == [
         long_texts[-(WINDOW - 1) :] + ["foo"]
     ]
 
     record = FileRecord("f", tokens_from_texts(long_texts * 2), 0.0)
-    examples = pipeline.eval_examples(pipeline.Split("committed", [], [], [record]), 50, SEED)
+    examples = pipeline.eval_examples(pipeline.Split([], [], [record]), 50, SEED)
     assert examples and max(len(ex.context) for ex in examples) == WINDOW
 
     profile = dataclasses.replace(default_profiles()[1], files=3, tokens_per_file=3 * WINDOW)
