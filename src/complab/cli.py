@@ -4,8 +4,12 @@
     evaluate -> analyze -> serve / abtest
 
 All artifacts land under a single --out workspace. Every command writes a
-manifest.json recording the resolved parameters, their hash, and the seed,
-so identical invocations produce byte-identical artifacts.
+<command>.manifest.json recording the resolved parameters, their hash, and
+the seed, so identical invocations produce byte-identical artifacts.
+
+Only `evaluate` ranks examples. It writes each example's rank to
+reports/ranks.jsonl, and `analyze` tabulates those ranks into the drift
+tables without loading a model.
 
 Configuration comes from an optional JSON file (--config); command-line
 flags win over config values, which win over built-in defaults.
@@ -24,7 +28,7 @@ from . import abtest as abtest_mod
 from . import analysis, datagen, pipeline, ranker
 from . import ngram as ngram_mod
 from . import transformer as tf_mod
-from .corpus import WINDOW, save_events, save_file_corpus
+from .corpus import WINDOW, read_jsonl, save_events, save_file_corpus
 from .evalsuite import evaluate
 from .vocab import build_vocab, load_vocab, save_vocab
 
@@ -98,7 +102,7 @@ def _write_manifest(directory: Path, command: str, params: dict) -> None:
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
         "seed": params.get("seed"),
     }
-    with open(directory / "manifest.json", "w", encoding="utf-8") as fp:
+    with open(directory / f"{command}.manifest.json", "w", encoding="utf-8") as fp:
         json.dump(payload, fp, sort_keys=True, indent=2)
         fp.write("\n")
 
@@ -275,6 +279,9 @@ def cmd_train_transformer(args, config) -> int:
 
 
 MODEL_FILES = {"ngram": "ngram.json", "transformer": "transformer.npz"}
+# One line per (model, train, eval, example): its file_id, target text and
+# rank, null for a miss. `evaluate` writes it and `analyze` reads it.
+RANKS_FILE = "ranks.jsonl"
 
 
 def _load_completer(path: Path):
@@ -312,11 +319,23 @@ def cmd_evaluate(args, config) -> int:
         split = pipeline.load_split(out, eval_name, seed)
         eval_sets[eval_name] = pipeline.eval_examples(split, n_examples, seed)
     cells = []
+    rank_rows = []
     for model_kind in models:
         for train_name in trains:
             completer = _trained_completer(out, model_kind, train_name)
             for eval_name in evals:
                 report = evaluate(completer.topk, eval_sets[eval_name], cutoff=cutoff)
+                for example, rank in zip(eval_sets[eval_name], report.per_example_ranks):
+                    rank_rows.append(
+                        {
+                            "model": model_kind,
+                            "train": train_name,
+                            "eval": eval_name,
+                            "file_id": example.file_id,
+                            "target": example.target.text,
+                            "rank": rank,
+                        }
+                    )
                 cells.append(
                     {
                         "model": model_kind,
@@ -343,6 +362,9 @@ def cmd_evaluate(args, config) -> int:
                 f"{c['model']},{c['train']},{c['eval']},"
                 f"{c['top1']:.6f},{c['mrr']:.6f},{c['n']}\n"
             )
+    with open(rdir / RANKS_FILE, "w", encoding="utf-8") as fp:
+        for row in rank_rows:
+            fp.write(json.dumps(row, sort_keys=True) + "\n")
     _write_manifest(
         rdir,
         "evaluate",
@@ -358,22 +380,54 @@ def cmd_evaluate(args, config) -> int:
     return 0
 
 
+def _rank_row(row: dict) -> tuple:
+    rank = row["rank"]
+    if rank is not None and (type(rank) is not int or rank < 1):
+        raise ValueError(f"rank must be a positive integer or null, got {rank!r}")
+    return row["eval"], row["model"], row["train"], row["file_id"], row["target"], rank
+
+
+def _read_ranks(path: Path, eval_name: str, trains: list[str], examples) -> dict:
+    """{(model, train): per-example ranks} from the rows of `path` for
+    `eval_name`, for every model kind they hold and every train in
+    `trains`. CliError unless each of those row sequences names exactly
+    `examples`, in order."""
+    if not path.exists():
+        raise CliError(f"ranks not found: {path} (run evaluate first)")
+    rows: dict[tuple[str, str], list] = {}
+    for row_eval, model, train, file_id, target, rank in read_jsonl(path, _rank_row, "rank row"):
+        if row_eval == eval_name:
+            rows.setdefault((model, train), []).append((file_id, target, rank))
+    if not rows:
+        raise CliError(f"{path}: no ranks for eval {eval_name!r} (run evaluate first)")
+    expected = [(ex.file_id, ex.target.text) for ex in examples]
+    ranks = {}
+    for model in dict.fromkeys(model for model, _ in rows):
+        for train in trains:
+            scored = rows.get((model, train), [])
+            if [(file_id, target) for file_id, target, _ in scored] != expected:
+                raise CliError(
+                    f"{path}: the {model}-{train} ranks on {eval_name!r} do not match the "
+                    "analyzed examples (run evaluate with this --train, --seed and --n-examples)"
+                )
+            ranks[model, train] = [rank for _, _, rank in scored]
+    return ranks
+
+
 def cmd_analyze(args, config) -> int:
     out = Path(args.out)
     seed = _resolve(args, config, "seed")
     n_examples = _resolve(args, config, "n_examples")
-    cutoff = _resolve(args, config, "cutoff")
-    model_kind = args.model or "ngram"
     trains = _corpus_list(args.train)
     eval_name = args.eval
     examples = pipeline.eval_examples(
         pipeline.load_split(out, eval_name, seed), n_examples, seed
     )
-
     rdir = pipeline.reports_dir(out)
-    rdir.mkdir(parents=True, exist_ok=True)
+    ranks = _read_ranks(rdir / RANKS_FILE, eval_name, trains, examples)
+    vocabs = {train_name: _load_train_vocab(out, train_name) for train_name in trains}
 
-    # Length CDFs and kind shares per corpus (training-side distributions).
+    # Length CDFs and kind shares of each corpus's held-out examples.
     cdfs = {}
     kinds = {}
     for name in sorted(set(trains + [eval_name]) - {pipeline.UNION}):
@@ -384,31 +438,26 @@ def cmd_analyze(args, config) -> int:
             corpus_examples = pipeline.eval_examples(split, n_examples, seed)
         cdfs[name] = analysis.length_cdf(corpus_examples)
         kinds[name] = analysis.kind_distribution(corpus_examples)
-    analysis.write_length_cdf_csv(rdir, cdfs)
-    analysis.write_kind_distribution_csv(rdir, kinds)
 
     by_length = {}
     by_oov = {}
-    oov_rows = []
-    for train_name in trains:
-        completer = _trained_completer(out, model_kind, train_name)
-        vocab = completer.vocab
-        report = evaluate(completer.topk, examples, cutoff=cutoff)
+    for (model_kind, train_name), example_ranks in ranks.items():
         label = f"{model_kind}-{train_name}"
-        by_length[label] = analysis.accuracy_by_length(
-            report.per_example_ranks, examples
-        )
+        by_length[label] = analysis.accuracy_by_length(example_ranks, examples)
         by_oov[label] = analysis.accuracy_by_context_oov(
-            report.per_example_ranks, examples, vocab
+            example_ranks, examples, vocabs[train_name]
         )
-        oov_rows.append(
-            (
-                train_name,
-                eval_name,
-                analysis.oov_rate_targets(vocab, examples),
-                analysis.oov_rate_context(vocab, examples),
-            )
+    oov_rows = [
+        (
+            train_name,
+            eval_name,
+            analysis.oov_rate_targets(vocab, examples),
+            analysis.oov_rate_context(vocab, examples),
         )
+        for train_name, vocab in vocabs.items()
+    ]
+    analysis.write_length_cdf_csv(rdir, cdfs)
+    analysis.write_kind_distribution_csv(rdir, kinds)
     analysis.write_accuracy_by_length_csv(rdir, by_length)
     analysis.write_accuracy_by_oov_csv(rdir, by_oov)
     analysis.write_oov_rates_csv(rdir, oov_rows)
@@ -416,14 +465,7 @@ def cmd_analyze(args, config) -> int:
     _write_manifest(
         rdir,
         "analyze",
-        {
-            "seed": seed,
-            "model": model_kind,
-            "train": trains,
-            "eval": eval_name,
-            "n_examples": n_examples,
-            "cutoff": cutoff,
-        },
+        {"seed": seed, "train": trains, "eval": eval_name, "n_examples": n_examples},
     )
     return 0
 
@@ -566,14 +608,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("analyze", help="corpus drift tables")
+    p = sub.add_parser(
+        "analyze", help="corpus drift tables from the ranks evaluate wrote"
+    )
     p.add_argument("--out", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--eval", required=True)
-    p.add_argument("--model")
     p.add_argument("--seed", type=int)
     p.add_argument("--n-examples", dest="n_examples", type=int)
-    p.add_argument("--cutoff", type=int)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("serve", help="rank candidates over NDJSON")

@@ -16,7 +16,7 @@ import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .lexer import Token, TokenKind, classify_text, is_identifier_like
 
@@ -55,6 +55,7 @@ class CompletionEvent:
 class EvalExample:
     context: tuple[Token, ...]
     target: Token
+    file_id: str
 
     def __post_init__(self):
         if not self.context:
@@ -117,7 +118,9 @@ def sample_identifier_targets(
     for fi, pos in sorted(chosen):
         tokens = files[fi].tokens
         context = tokens[max(0, pos - WINDOW) : pos]
-        examples.append(EvalExample(context=context, target=tokens[pos]))
+        examples.append(
+            EvalExample(context=context, target=tokens[pos], file_id=files[fi].file_id)
+        )
     return examples
 
 
@@ -131,7 +134,9 @@ def events_to_examples(
         if not event.context:
             skipped += 1
             continue
-        examples.append(EvalExample(context=event.context, target=event.accepted))
+        examples.append(
+            EvalExample(context=event.context, target=event.accepted, file_id=event.file_id)
+        )
     return examples, skipped
 
 
@@ -175,22 +180,28 @@ def save_events(events: Iterable[CompletionEvent], path: str | Path) -> None:
             fp.write("\n")
 
 
-def load_events(path: str | Path) -> list[CompletionEvent]:
-    """The events logged at `path`, one JSON record a line; ValueError
-    naming the file and line at the first malformed record."""
-    events = []
+def read_jsonl(path: str | Path, parse: Callable[[dict], object], what: str) -> list:
+    """`parse` of each JSON line of `path`, blank lines skipped; ValueError
+    naming the file and line at the first line that is not JSON or that
+    `parse` rejects."""
+    parsed = []
     with open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                events.append(event_from_record(json.loads(line)))
+                parsed.append(parse(json.loads(line)))
             except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise ValueError(
-                    f"{path}:{lineno}: malformed event record ({type(exc).__name__}: {exc})"
+                    f"{path}:{lineno}: malformed {what} ({type(exc).__name__}: {exc})"
                 ) from exc
-    return events
+    return parsed
+
+
+def load_events(path: str | Path) -> list[CompletionEvent]:
+    """The events logged at `path`, one JSON record a line."""
+    return read_jsonl(path, event_from_record, "event record")
 
 
 def save_file_corpus(files: Sequence[FileRecord], root: str | Path) -> None:
@@ -216,23 +227,21 @@ def save_file_corpus(files: Sequence[FileRecord], root: str | Path) -> None:
             manifest.write("\n")
 
 
+def _manifest_entry(meta: dict) -> tuple[str, str, float]:
+    return str(meta["file_id"]), str(meta["path"]), float(meta["last_modified"])
+
+
 def load_file_corpus(root: str | Path) -> list[FileRecord]:
+    """The files `root`'s manifest.jsonl indexes, one JSON entry a line."""
     from .lexer import tokenize
 
     root = Path(root)
-    records = []
-    with open(root / "manifest.jsonl", encoding="utf-8") as manifest:
-        for line in manifest:
-            line = line.strip()
-            if not line:
-                continue
-            meta = json.loads(line)
-            text = (root / meta["path"]).read_text(encoding="utf-8")
-            records.append(
-                FileRecord(
-                    file_id=meta["file_id"],
-                    tokens=tuple(tokenize(text)),
-                    last_modified=float(meta["last_modified"]),
-                )
-            )
-    return records
+    entries = read_jsonl(root / "manifest.jsonl", _manifest_entry, "manifest entry")
+    return [
+        FileRecord(
+            file_id=file_id,
+            tokens=tuple(tokenize((root / rel).read_text(encoding="utf-8"))),
+            last_modified=last_modified,
+        )
+        for file_id, rel, last_modified in entries
+    ]

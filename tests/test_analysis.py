@@ -22,6 +22,7 @@ def _example(target, context=("a", "b")):
     return EvalExample(
         context=tuple(Token(t, classify_text(t)) for t in context),
         target=Token(target, classify_text(target)),
+        file_id="f",
     )
 
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from complab import pipeline
 from complab.abtest import AbObservation, compare
 from complab.cli import _load_config, main
 from complab.corpus import save_events
+from complab.evalsuite import report_from_ranks
 from complab.transformer import load_params
 from complab.vocab import build_vocab, load_vocab, save_vocab
 
@@ -192,6 +194,10 @@ def _run(capsys, argv):
     return rc, out.out, out.err
 
 
+ANALYZE_CSVS = ("fig4_accuracy_by_length.csv", "fig5_length_cdf.csv",
+                "fig6_accuracy_by_oov.csv", "kind_distribution.csv", "oov_rates.csv")
+
+
 def test_ngram_path_end_to_end(tmp_path, monkeypatch, capsys):
     ws = tmp_path / "ws"
     out = ["--out", str(ws)]
@@ -203,18 +209,31 @@ def test_ngram_path_end_to_end(tmp_path, monkeypatch, capsys):
         ["train-ngram", *out, "--train", trains],
         ["evaluate", *out, "--models", "ngram", "--train", trains,
          "--eval", "committed,completion,edit", "--n-examples", "30"],
-        ["analyze", *out, "--train", trains, "--eval", "completion", "--n-examples", "30"],
     ]
     for argv in steps:
         rc, _, err = _run(capsys, argv)
         assert rc == 0, (argv, err)
 
+    def no_model(path):
+        raise AssertionError(f"analyze loaded {path}")
+
+    # analyze tabulates evaluate's ranks and loads no model.
+    with monkeypatch.context() as patch:
+        patch.setattr("complab.cli._load_completer", no_model)
+        rc, _, err = _run(capsys, ["analyze", *out, "--train", trains, "--eval", "completion",
+                                   "--n-examples", "30"])
+    assert rc == 0, err
+
     for name in trains.split(","):
         model_dir = ws / "models" / name
         assert (model_dir / "vocab.tsv").exists() and (model_dir / "ngram.json").exists()
-        manifest = json.loads((model_dir / "manifest.json").read_text())
-        assert manifest["command"] == "train-ngram"
-        assert manifest["params"]["window"] == 100
+        for command in ("train-vocab", "train-ngram"):
+            manifest = json.loads((model_dir / f"{command}.manifest.json").read_text())
+            assert manifest["command"] == command and manifest["params"]["train"] == name
+        assert manifest["params"]["window"] == 100  # train-ngram's
+    for command in ("evaluate", "analyze"):
+        manifest = json.loads((ws / "reports" / f"{command}.manifest.json").read_text())
+        assert manifest["command"] == command and manifest["params"]["n_examples"] == 30
     assert not (ws / "corpora").exists()
     report = json.loads((ws / "reports" / "eval.json").read_text())
     assert [(c["train"], c["eval"]) for c in report["cells"]] == [
@@ -225,9 +244,26 @@ def test_ngram_path_end_to_end(tmp_path, monkeypatch, capsys):
     assert csv_lines[0] == "model,train,eval,top1,mrr,n" and len(csv_lines) == 10
     oov = (ws / "reports" / "oov_rates.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in oov[1:]] == trains.split(",")
-    for table in ("fig4_accuracy_by_length", "fig5_length_cdf", "fig6_accuracy_by_oov",
-                  "kind_distribution"):
-        assert (ws / "reports" / f"{table}.csv").exists()
+
+    # ranks.jsonl holds each cell's examples in scoring order, from test
+    # records of the eval corpus, and gives the cell's metrics exactly.
+    rows = [json.loads(line) for line in (ws / "reports" / "ranks.jsonl").read_text().splitlines()]
+    assert all(list(row) == ["eval", "file_id", "model", "rank", "target", "train"]
+               for row in rows)
+    cell_keys = [(c["model"], c["train"], c["eval"]) for c in report["cells"]]
+    assert list(dict.fromkeys((r["model"], r["train"], r["eval"]) for r in rows)) == cell_keys
+    test_ids = {
+        name: {record.file_id for record in pipeline.load_split(ws, name, 7).test}
+        for name in ("committed", "completion", "edit")
+    }
+    assert all(row["file_id"] in test_ids[row["eval"]] for row in rows)
+    for cell in report["cells"]:
+        ranks = [row["rank"] for row in rows
+                 if (row["model"], row["train"], row["eval"])
+                 == (cell["model"], cell["train"], cell["eval"])]
+        metrics = report_from_ranks(ranks, cutoff=report["cutoff"])
+        assert (metrics.top1, metrics.mrr, metrics.n) == (cell["top1"], cell["mrr"], cell["n"])
+    assert len(rows) == sum(cell["n"] for cell in report["cells"])
 
     vocab = load_vocab(ws / "models" / "union" / "vocab.tsv")
     words = [vocab.text(i) for i in range(2, 6)]
@@ -246,11 +282,20 @@ def test_ngram_path_end_to_end(tmp_path, monkeypatch, capsys):
         "ngram.json": (ws / "models" / "union" / "ngram.json").read_bytes(),
         "eval.json": (ws / "reports" / "eval.json").read_bytes(),
         "served line": line.encode(),
+        **{name: (ws / "reports" / name).read_bytes() for name in ANALYZE_CSVS},
     }
     assert {name: hashlib.sha256(data).hexdigest() for name, data in digests.items()} == {
         "ngram.json": "184cf4e210ad5e2839d759ea8e2a2905992895ca541cb85fb01d06701a6e2f23",
         "eval.json": "deffbb71f584af26e40bd2140b479ebb48859c9486509306048ee2fe6438d9d2",
         "served line": "eec14d13b2891828c31e968f9ad81df6ffb82bb438538d296df91e5ae737ef81",
+        "fig4_accuracy_by_length.csv":
+            "c50e58bcd5cdfa0a5d7dea057c2f3513c215a73188171e681c59843433504e7f",
+        "fig5_length_cdf.csv": "e4d0e9ade7d0e8699b349de877c2df0bea98aa244c6b3d60e849a525f91ef5e7",
+        "fig6_accuracy_by_oov.csv":
+            "8dda22e55f3fa51cccfa6c63e7b7b8373827d9e0d6d14b9dbd2cbc4669610cee",
+        "kind_distribution.csv":
+            "e8f7e7557697e8ad15610b1dce5e18580cfed4871cf46de172e68ebc3241a887",
+        "oov_rates.csv": "1b1e1f531d9414370e75cb96fceec5add5e069df50236fe57b3ffd107d1ebb67",
     }
 
 
@@ -310,6 +355,13 @@ def _event_without_context(ws):
     return ["train-vocab", "--out", str(ws), "--train", "completion"]
 
 
+def _manifest_entry_without_path(ws):
+    root = ws / "data" / "committed"
+    root.mkdir(parents=True)
+    (root / "manifest.jsonl").write_text(json.dumps({"file_id": "a"}) + "\n", encoding="utf-8")
+    return ["train-vocab", "--out", str(ws), "--train", "committed"]
+
+
 @pytest.mark.parametrize(
     "make, where",
     [
@@ -318,14 +370,79 @@ def _event_without_context(ws):
         (_npz_without_header, "transformer.npz: "),
         (_npz_truncated, "transformer.npz: "),
         (_event_without_context, "events.jsonl:1: "),
+        (_manifest_entry_without_path, "manifest.jsonl:1: "),
     ],
-    ids=["ngram-no-vocab", "ngram-list", "npz-no-header", "npz-truncated", "event-no-context"],
+    ids=["ngram-no-vocab", "ngram-list", "npz-no-header", "npz-truncated", "event-no-context",
+         "manifest-no-path"],
 )
 def test_malformed_model_and_event_files_get_an_error(tmp_path, capsys, make, where):
     rc, stdout, stderr = _run(capsys, make(tmp_path))
     assert rc == 1 and stdout == ""
     assert stderr.startswith("error: ") and where in stderr, stderr
     assert "Traceback" not in stderr
+
+
+@pytest.fixture(scope="module")
+def evaluated_workspace(tmp_path_factory):
+    """A workspace where evaluate has ranked 10 committed examples."""
+    ws = tmp_path_factory.mktemp("evaluated") / "ws"
+    out = ["--out", str(ws)]
+    for argv in (
+        ["datagen", *out, "--files", "8", "--tokens-per-file", "300"],
+        ["train-vocab", *out, "--train", "committed"],
+        ["train-ngram", *out, "--train", "committed"],
+        ["evaluate", *out, "--models", "ngram", "--train", "committed",
+         "--eval", "committed", "--n-examples", "10"],
+    ):
+        assert main(argv) == 0, argv
+    return ws
+
+
+def _no_ranks(ws):
+    (ws / "reports" / "ranks.jsonl").unlink()
+
+
+def _ranks_of_other_examples(ws):
+    assert main(["evaluate", "--out", str(ws), "--models", "ngram", "--train", "committed",
+                 "--eval", "committed", "--n-examples", "5"]) == 0
+
+
+def _truncated_rank_line(ws):
+    path = ws / "reports" / "ranks.jsonl"
+    first, second = path.read_text(encoding="utf-8").splitlines()[:2]
+    path.write_text(f"{first}\n{second[:len(second) // 2]}\n", encoding="utf-8")
+
+
+def _rank_row_without_rank(ws):
+    path = ws / "reports" / "ranks.jsonl"
+    first, *rest = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(first)
+    del row["rank"]
+    path.write_text("\n".join([json.dumps(row), *rest]) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "damage, where",
+    [
+        (_no_ranks, "ranks.jsonl "),
+        (_ranks_of_other_examples, "ranks.jsonl: "),
+        (_truncated_rank_line, "ranks.jsonl:2: "),
+        (_rank_row_without_rank, "ranks.jsonl:1: "),
+    ],
+    ids=["missing", "other-n-examples", "truncated-line", "row-without-rank"],
+)
+def test_analyze_rejects_missing_or_mismatched_ranks(
+    evaluated_workspace, tmp_path, capsys, damage, where
+):
+    ws = tmp_path / "ws"
+    shutil.copytree(evaluated_workspace, ws)
+    damage(ws)
+    rc, stdout, stderr = _run(capsys, ["analyze", "--out", str(ws), "--train", "committed",
+                                       "--eval", "committed", "--n-examples", "10"])
+    assert rc == 1 and stdout == ""
+    assert stderr.startswith("error: ") and where in stderr, stderr
+    assert "Traceback" not in stderr
+    assert not any((ws / "reports" / name).exists() for name in ANALYZE_CSVS)
 
 
 def test_serve_and_evaluate_report_missing_models_alike(tmp_path, capsys):

@@ -75,6 +75,7 @@ def test_sample_identifier_targets_eligibility():
     examples = sample_identifier_targets(files, n=10, seed=0)
     assert [e.target.text for e in examples] == ["f"]
     assert [t.text for t in examples[0].context] == ["$a", "="]
+    assert examples[0].file_id == "f0"
 
 
 def test_sample_identifier_targets_no_duplicates():
@@ -114,6 +115,7 @@ def test_events_to_examples():
     assert skipped == 0
     assert examples[0].target.text == "foo"
     assert [t.text for t in examples[0].context] == ["$x", "="]
+    assert examples[0].file_id == "f1"
 
 
 def test_events_to_examples_skips_empty_context():
@@ -143,7 +145,7 @@ def test_event_requires_identifier_like_accepted():
 
 def test_eval_example_requires_context():
     with pytest.raises(ValueError):
-        EvalExample(context=(), target=Token("x", TokenKind.IDENTIFIER))
+        EvalExample(context=(), target=Token("x", TokenKind.IDENTIFIER), file_id="f")
 
 
 def test_event_record_round_trip():

@@ -10,6 +10,7 @@ def _example(target, context=("$x", "=")):
     return EvalExample(
         context=tuple(Token(t, TokenKind.IDENTIFIER) for t in context),
         target=Token(target, TokenKind.IDENTIFIER),
+        file_id="f",
     )
 
 
