@@ -35,9 +35,9 @@ def oov_rate_context(vocab: Vocabulary, examples: Sequence[EvalExample]) -> floa
     total = 0
     misses = 0
     for ex in examples:
-        for token in ex.context:
+        for text in ex.context_texts:
             total += 1
-            if token.text not in vocab:
+            if text not in vocab:
                 misses += 1
     if total == 0:
         raise ValueError("OOV rate undefined without context tokens")
@@ -104,8 +104,8 @@ def accuracy_by_context_oov(
     by_count: dict[int, list[int]] = {}
     by_frac: dict[int, list[int]] = {}
     for rank, ex in zip(ranks, examples):
-        oov = sum(1 for t in ex.context if t.text not in vocab)
-        frac = oov / len(ex.context)
+        oov = sum(1 for text in ex.context_texts if text not in vocab)
+        frac = oov / len(ex.context_texts)
         fbin = min(int(frac * fraction_bins), fraction_bins - 1)
         by_count.setdefault(oov, []).append(1 if rank == 1 else 0)
         by_frac.setdefault(fbin, []).append(1 if rank == 1 else 0)

@@ -192,13 +192,13 @@ def cmd_train_ngram(args, config) -> int:
         vocab = _load_train_vocab(out, train_name)
         windows = pipeline.encode_windows(_training_streams(out, train_name, seed), vocab)
         if budget:
-            windows = pipeline.trim_to_budget(windows, budget, vocab.pad_id)
+            windows = pipeline.trim_to_budget(windows, budget)
         model = ngram_mod.train_ngram(windows, order, vocab)
         model_dir = pipeline.models_dir(out, train_name)
         ngram_mod.save_ngram(model, model_dir / "ngram.json")
         print(
             f"train-ngram: {train_name}: order {order}, "
-            f"{pipeline.non_pad_tokens(windows, vocab.pad_id)} tokens"
+            f"{pipeline.non_pad_tokens(windows)} tokens"
         )
         _write_manifest(
             model_dir,
@@ -218,6 +218,7 @@ def _transformer_config(profile: str, vocab_size: int, seed: int, epochs):
     if profile == "desk":
         config = tf_mod.TransformerConfig(
             vocab_size=vocab_size,
+            context_len=WINDOW,
             dropout=0.1,
             seed=seed,
             max_epochs=epochs or tf_mod.MAX_EPOCHS,
@@ -248,14 +249,10 @@ def cmd_train_transformer(args, config) -> int:
             pipeline.training_streams(splits, "valid"), vocab
         )
         if budget:
-            train_windows = pipeline.trim_to_budget(train_windows, budget, vocab.pad_id)
-            valid_windows = pipeline.trim_to_budget(
-                valid_windows, max(budget // 8, WINDOW), vocab.pad_id
-            )
+            train_windows = pipeline.trim_to_budget(train_windows, budget)
+            valid_windows = pipeline.trim_to_budget(valid_windows, max(budget // 8, WINDOW))
         tf_config = _transformer_config(profile, len(vocab), seed, epochs)
-        params, log = tf_mod.train(
-            tf_config, train_windows, valid_windows, pad_id=vocab.pad_id
-        )
+        params, log = tf_mod.train(tf_config, train_windows, valid_windows)
         model_dir = pipeline.models_dir(out, train_name)
         tf_mod.save_params(params, tf_config, model_dir / "transformer.npz")
         (model_dir / "trainlog.json").write_text(log.to_json() + "\n", encoding="utf-8")
@@ -300,12 +297,6 @@ def _load_completer(path: Path):
     raise CliError(f"unrecognized model file type: {path}")
 
 
-def _trained_completer(out: Path, model_kind: str, train_name: str):
-    if model_kind not in MODEL_FILES:
-        raise CliError(f"unknown model kind: {model_kind}")
-    return _load_completer(pipeline.models_dir(out, train_name) / MODEL_FILES[model_kind])
-
-
 def cmd_evaluate(args, config) -> int:
     out = Path(args.out)
     seed = _resolve(args, config, "seed")
@@ -314,6 +305,9 @@ def cmd_evaluate(args, config) -> int:
     models = _corpus_list(args.models)
     trains = _corpus_list(args.train)
     evals = _corpus_list(args.eval)
+    for model_kind in models:
+        if model_kind not in MODEL_FILES:
+            raise CliError(f"unknown model kind: {model_kind}")
     eval_sets = {}
     for eval_name in evals:
         split = pipeline.load_split(out, eval_name, seed)
@@ -322,7 +316,8 @@ def cmd_evaluate(args, config) -> int:
     rank_rows = []
     for model_kind in models:
         for train_name in trains:
-            completer = _trained_completer(out, model_kind, train_name)
+            model_dir = pipeline.models_dir(out, train_name)
+            completer = _load_completer(model_dir / MODEL_FILES[model_kind])
             for eval_name in evals:
                 report = evaluate(completer.topk, eval_sets[eval_name], cutoff=cutoff)
                 for example, rank in zip(eval_sets[eval_name], report.per_example_ranks):
@@ -477,14 +472,21 @@ def cmd_serve(args, config) -> int:
         raise CliError(f"threshold must be in [0, 1], got {threshold}")
     if max_promote < 0:
         raise CliError(f"max_promote must be >= 0, got {max_promote}")
+    if args.tcp:
+        host, _, raw_port = args.tcp.partition(":")
+        try:
+            port = int(raw_port or 0)
+        except ValueError:
+            port = -1
+        if not 0 <= port <= 65535:
+            raise CliError(f"--tcp port must be an integer in 0-65535, got {raw_port!r}")
     completer = _load_completer(Path(args.model))
     acceptance_log = ranker.AcceptanceLog(args.log) if args.log else None
     if args.tcp:
-        host, _, port = args.tcp.partition(":")
         server = ranker.serve_tcp(
             completer.scores,
             host=host or "127.0.0.1",
-            port=int(port or 0),
+            port=port,
             threshold=threshold,
             max_promote=max_promote,
             acceptance_log=acceptance_log,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import Vocabulary
+from .vocab import PAD_ID, UNK_ID, Vocabulary
 
 
 def top_ids(probs: np.ndarray, vocab: Vocabulary, k: int) -> list[tuple[int, float]]:
@@ -23,8 +23,7 @@ def top_ids(probs: np.ndarray, vocab: Vocabulary, k: int) -> list[tuple[int, flo
     `probs`."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    probs[vocab.unk_id] = -1.0
-    probs[vocab.pad_id] = -1.0
+    probs[[UNK_ID, PAD_ID]] = -1.0
     order = np.lexsort((vocab.lex_rank(), -probs))
     return [(int(i), float(probs[i])) for i in order[: min(k, len(vocab) - 2)]]
 

@@ -3,9 +3,11 @@
 Three corpora flow through the lab: committed-like source files, logged
 completion acceptance events, and edit snapshots. Files and edit snapshots
 are `FileRecord`s, events are `CompletionEvent`s, and an `EvalExample` is a
-context and its target, whichever corpus it came from. Splitting is a
-deterministic hash of record identity so reruns and cross-process
-invocations agree byte-for-byte.
+context and its target, whichever corpus it came from. A context is a tuple
+of token texts, because models read only texts. A target stays a `Token`,
+because its kind decides what may be a target and what the drift tables
+count. Splitting is a deterministic hash of record identity so reruns and
+cross-process invocations agree byte-for-byte.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class FileRecord:
 
 @dataclass(frozen=True, slots=True)
 class CompletionEvent:
-    context: tuple[Token, ...]
+    context: tuple[str, ...]
     accepted: Token
     developer_id: str
     timestamp: float
@@ -53,17 +55,13 @@ class CompletionEvent:
 
 @dataclass(frozen=True, slots=True)
 class EvalExample:
-    context: tuple[Token, ...]
+    context_texts: tuple[str, ...]
     target: Token
     file_id: str
 
     def __post_init__(self):
-        if not self.context:
+        if not self.context_texts:
             raise ValueError("evaluation example needs a non-empty context")
-
-    @property
-    def context_texts(self) -> list[str]:
-        return [t.text for t in self.context]
 
 
 def _record_id(record: FileRecord | CompletionEvent) -> str:
@@ -117,10 +115,8 @@ def sample_identifier_targets(
     examples = []
     for fi, pos in sorted(chosen):
         tokens = files[fi].tokens
-        context = tokens[max(0, pos - WINDOW) : pos]
-        examples.append(
-            EvalExample(context=context, target=tokens[pos], file_id=files[fi].file_id)
-        )
+        context = tuple(t.text for t in tokens[max(0, pos - WINDOW) : pos])
+        examples.append(EvalExample(context, tokens[pos], files[fi].file_id))
     return examples
 
 
@@ -134,9 +130,7 @@ def events_to_examples(
         if not event.context:
             skipped += 1
             continue
-        examples.append(
-            EvalExample(context=event.context, target=event.accepted, file_id=event.file_id)
-        )
+        examples.append(EvalExample(event.context, event.accepted, event.file_id))
     return examples, skipped
 
 
@@ -150,7 +144,7 @@ def event_to_record(event: CompletionEvent) -> dict:
         "developer_id": event.developer_id,
         "timestamp": event.timestamp,
         "file_id": event.file_id,
-        "context": [t.text for t in event.context],
+        "context": list(event.context),
         "accepted": event.accepted.text,
         "accepted_kind": event.accepted.kind.value,
     }
@@ -161,7 +155,9 @@ def tokens_from_texts(texts: Iterable[str]) -> tuple[Token, ...]:
 
 
 def event_from_record(record: dict) -> CompletionEvent:
-    context = tokens_from_texts(record["context"])
+    context = tuple(record["context"])
+    if not all(isinstance(text, str) and text for text in context):
+        raise ValueError("context entries must be non-empty strings")
     accepted_text = record["accepted"]
     kind = TokenKind(record.get("accepted_kind", classify_text(accepted_text).value))
     return CompletionEvent(

@@ -349,7 +349,7 @@ def generate(
                     continue
                 events.append(
                     CompletionEvent(
-                        context=tokens[max(0, pos - WINDOW) : pos],
+                        context=tuple(texts[max(0, pos - WINDOW) : pos]),
                         accepted=tokens[pos],
                         developer_id=f"dev{rng.randrange(120):03d}",
                         timestamp=now - rng.random() * 90.0 * DAY,

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .completer import Completer, top_ids
-from .vocab import Vocabulary
+from .vocab import PAD_ID, UNK_ID, Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -55,9 +55,9 @@ class NgramModel:
     unigram: np.ndarray  # the unigram level of every distribution
 
 
-def _strip_pads(seq: Sequence[int], pad_id: int) -> Sequence[int]:
+def _strip_pads(seq: Sequence[int]) -> Sequence[int]:
     for i, token_id in enumerate(seq):
-        if token_id == pad_id:
+        if token_id == PAD_ID:
             return seq[:i]
     return seq
 
@@ -119,10 +119,10 @@ def _derive(
         discounts[k] = _estimate_discounts(adjusted[k - 1].values(), k)
 
     unigram_counts = {gram[0]: c for gram, c in adjusted[0].items()}
-    unigram_counts.pop(vocab.pad_id, None)
+    unigram_counts.pop(PAD_ID, None)
     discounts[1] = _estimate_discounts(unigram_counts.values(), 1)
     unigram = np.full(len(vocab), 1.0 / max(len(vocab) - 2, 1))
-    unigram[[vocab.unk_id, vocab.pad_id]] = 0.0
+    unigram[[UNK_ID, PAD_ID]] = 0.0
     if unigram_counts:
         _interpolate(unigram, unigram_counts, discounts[1])
     return NgramModel(order, vocab, raw, contexts, discounts, unigram)
@@ -137,7 +137,7 @@ def train_ngram(
         raise ValueError("order must be >= 2")
     raw: list[dict[tuple[int, ...], int]] = [dict() for _ in range(order)]
     for seq in sequences:
-        seq = _strip_pads(seq, vocab.pad_id)
+        seq = _strip_pads(seq)
         n = len(seq)
         for k in range(1, order + 1):
             counts_k = raw[k - 1]

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import corpus as corpus_mod
 from .corpus import WINDOW, CompletionEvent, EvalExample, FileRecord
-from .vocab import Vocabulary, encode
+from .vocab import PAD_ID, Vocabulary, encode
 
 UNION = "union"
 UNION_PARTS = ("committed", "completion")
@@ -70,9 +70,7 @@ def training_splits(out_root: str | Path, name: str, seed: int) -> list[Split]:
 def _stream(record: FileRecord | CompletionEvent) -> list[str]:
     if isinstance(record, FileRecord):
         return [t.text for t in record.tokens]
-    texts = [t.text for t in record.context][-(WINDOW - 1) :]
-    texts.append(record.accepted.text)
-    return texts
+    return [*record.context[-(WINDOW - 1) :], record.accepted.text]
 
 
 def training_streams(splits: Sequence[Split], use: str = "train") -> list[list[str]]:
@@ -90,12 +88,12 @@ def encode_windows(
     return windows
 
 
-def non_pad_tokens(windows: Sequence[Sequence[int]], pad_id: int) -> int:
-    return sum(sum(1 for t in w if t != pad_id) for w in windows)
+def non_pad_tokens(windows: Sequence[Sequence[int]]) -> int:
+    return sum(sum(1 for t in w if t != PAD_ID) for w in windows)
 
 
 def trim_to_budget(
-    windows: Sequence[Sequence[int]], budget_tokens: int, pad_id: int
+    windows: Sequence[Sequence[int]], budget_tokens: int
 ) -> list[list[int]]:
     """Keep windows in order until the non-pad token budget is reached."""
     out: list[list[int]] = []
@@ -104,7 +102,7 @@ def trim_to_budget(
         if used >= budget_tokens:
             break
         out.append(list(w))
-        used += sum(1 for t in w if t != pad_id)
+        used += sum(1 for t in w if t != PAD_ID)
     return out
 
 

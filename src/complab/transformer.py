@@ -25,7 +25,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .completer import Completer
-from .vocab import Vocabulary
+from .vocab import PAD_ID, Vocabulary
 
 MAX_EPOCHS = 15
 NEG_INF = -1e30
@@ -124,12 +124,12 @@ def init_params(config: TransformerConfig, dtype=np.float32) -> TransformerParam
     return params
 
 
-def _attention_mask(ids: np.ndarray, pad_id: int, dtype) -> np.ndarray:
+def _attention_mask(ids: np.ndarray, dtype) -> np.ndarray:
     """Additive mask (B, 1, L, L): causal plus pad-key exclusion."""
     b, length = ids.shape
     causal = np.triu(np.full((length, length), NEG_INF, dtype=dtype), k=1)
     mask = np.broadcast_to(causal, (b, 1, length, length)).copy()
-    pad_keys = ids == pad_id
+    pad_keys = ids == PAD_ID
     mask[pad_keys[:, None, None, :].repeat(length, axis=2)] = NEG_INF
     return mask
 
@@ -145,7 +145,6 @@ def _logits(
     params: TransformerParams,
     ids: np.ndarray,
     config: TransformerConfig,
-    pad_id: int = 1,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     b, length = ids.shape
@@ -167,7 +166,7 @@ def _logits(
         ag.embedding(params["pos_emb"], positions),
     )
     x = _dropout(x, config.dropout, rng)
-    mask = _attention_mask(ids, pad_id, dtype)
+    mask = _attention_mask(ids, dtype)
 
     for i in range(config.n_layers):
         p = f"h{i}."
@@ -205,11 +204,16 @@ def forward(
     params: TransformerParams,
     ids: Sequence[int],
     config: TransformerConfig,
-    pad_id: int = 1,
+    pad_id: int = PAD_ID,
 ) -> np.ndarray:
-    """Next-token probability rows for one id sequence: shape (L, vocab)."""
+    """Next-token probability rows for one id sequence: shape (L, vocab).
+
+    The pad is always `PAD_ID`. `pad_id` is still accepted, as that value
+    only, because perfbench's self-tests pass it."""
+    if pad_id != PAD_ID:
+        raise ValueError(f"pad_id must be {PAD_ID}, got {pad_id}")
     arr = np.asarray(ids, dtype=np.int64)[None, :]
-    logits = _logits(_detached(params), arr, config, pad_id=pad_id).data[0]
+    logits = _logits(_detached(params), arr, config).data[0]
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -219,19 +223,23 @@ def loss(
     params: TransformerParams,
     batch: Sequence[Sequence[int]] | np.ndarray,
     config: TransformerConfig,
-    pad_id: int = 1,
+    pad_id: int = PAD_ID,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Mean token-level cross-entropy over non-pad target positions."""
+    """Mean token-level cross-entropy over non-pad target positions.
+
+    `pad_id` is accepted as in `forward`: `PAD_ID` only."""
+    if pad_id != PAD_ID:
+        raise ValueError(f"pad_id must be {PAD_ID}, got {pad_id}")
     ids = np.asarray(batch, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[0] == 0:
         raise ValueError("batch must be a non-empty 2D id array")
     inputs, targets = ids[:, :-1], ids[:, 1:]
-    target_mask = targets != pad_id
+    target_mask = targets != PAD_ID
     n_real = int(target_mask.sum())
     if n_real == 0:
         raise ValueError("loss undefined: batch contains only pad targets")
-    logits = _logits(params, inputs, config, pad_id=pad_id, rng=rng)
+    logits = _logits(params, inputs, config, rng=rng)
     dtype = params["tok_emb"].data.dtype
     nll = ag.cross_entropy(logits, targets, target_mask.astype(dtype))
     return ag.scale(nll, 1.0 / n_real)
@@ -313,16 +321,15 @@ def _mean_valid_loss(
     params: TransformerParams,
     valid: np.ndarray,
     config: TransformerConfig,
-    pad_id: int,
 ) -> float:
     detached = _detached(params)
     total = 0.0
     weight = 0
     for batch in _batches(valid, config.batch_size, rng=None):
-        n_real = int((batch[:, 1:] != pad_id).sum())
+        n_real = int((batch[:, 1:] != PAD_ID).sum())
         if n_real == 0:
             continue
-        total += float(loss(detached, batch, config, pad_id=pad_id).data) * n_real
+        total += float(loss(detached, batch, config).data) * n_real
         weight += n_real
     if weight == 0:
         raise ValueError("validation split contains only pad targets")
@@ -334,14 +341,13 @@ def _train_step(
     opt: ag.Adam,
     batch: np.ndarray,
     config: TransformerConfig,
-    pad_id: int,
     rng: np.random.Generator | None = None,
 ) -> float:
     """One optimizer step on one batch; returns its loss, and skips the
     update when that loss is not finite. The step's graph dies with this
     frame, so it is not kept alive while the next graph is built."""
     opt.zero_grad()
-    out = loss(params, batch, config, pad_id=pad_id, rng=rng)
+    out = loss(params, batch, config, rng=rng)
     value = float(out.data)
     if math.isfinite(value):
         out.backward()
@@ -353,7 +359,6 @@ def train(
     config: TransformerConfig,
     train_sequences: Sequence[Sequence[int]],
     valid_sequences: Sequence[Sequence[int]],
-    pad_id: int = 1,
     dtype=np.float32,
 ) -> tuple[TransformerParams, TrainLog]:
     """Early-stopped Adam training; returns parameters from the best epoch.
@@ -381,16 +386,11 @@ def train(
         epoch_total = 0.0
         epoch_weight = 0
         for batch in _batches(train_arr, config.batch_size, shuffle_rng):
-            n_real = int((batch[:, 1:] != pad_id).sum())
+            n_real = int((batch[:, 1:] != PAD_ID).sum())
             if n_real == 0:
                 continue
             value = _train_step(
-                params,
-                opt,
-                batch,
-                config,
-                pad_id,
-                rng=dropout_rng if config.dropout > 0 else None,
+                params, opt, batch, config, rng=dropout_rng if config.dropout > 0 else None
             )
             if not math.isfinite(value):
                 raise DivergenceError(
@@ -399,7 +399,7 @@ def train(
             epoch_total += value * n_real
             epoch_weight += n_real
         train_loss = epoch_total / max(epoch_weight, 1)
-        valid_loss = _mean_valid_loss(params, valid_arr, config, pad_id)
+        valid_loss = _mean_valid_loss(params, valid_arr, config)
         if not math.isfinite(valid_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}", log)
         log.train_losses.append(train_loss)
@@ -436,9 +436,7 @@ class TransformerCompleter(Completer):
 
     def distribution(self, context_texts: Sequence[str]) -> np.ndarray:
         ids = [self.vocab.id(t) for t in context_texts][-self.config.context_len :]
-        return forward(self.params, ids, self.config, pad_id=self.vocab.pad_id)[
-            -1
-        ].astype(np.float64)
+        return forward(self.params, ids, self.config)[-1].astype(np.float64)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Whole-token vocabularies and id-sequence encoding.
 
 A vocabulary keeps the `max_size` most frequent token texts plus the two
-specials; sequences are encoded as fixed-length non-overlapping windows with
-out-of-vocabulary texts mapped to `<unk>` and the final short window
-right-padded with `<pad>`.
+specials, which every vocabulary holds at fixed ids: `<unk>` is `UNK_ID` (0)
+and `<pad>` is `PAD_ID` (1). Sequences are encoded as fixed-length
+non-overlapping windows with out-of-vocabulary texts mapped to `<unk>` and
+the final short window right-padded with `<pad>`.
 """
 
 from __future__ import annotations
@@ -17,24 +18,26 @@ import numpy as np
 
 UNK = "<unk>"
 PAD = "<pad>"
+UNK_ID = 0
+PAD_ID = 1
 
 
 @dataclass(frozen=True, slots=True)
 class Vocabulary:
     id_of: dict[str, int]
     max_size: int
-    unk_id: int = 0
-    pad_id: int = 1
-    text_of: dict[int, str] = field(default_factory=dict)
+    text_of: dict[int, str] = field(init=False, repr=False, compare=False)
     _lex_rank: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        if self.id_of.get(UNK) != self.unk_id or self.id_of.get(PAD) != self.pad_id:
-            raise ValueError("vocabulary must map specials to ids 0 and 1")
-        if not self.text_of:
-            object.__setattr__(self, "text_of", {i: t for t, i in self.id_of.items()})
+        if self.id_of.get(UNK) != UNK_ID or self.id_of.get(PAD) != PAD_ID:
+            raise ValueError(f"specials must be {UNK}={UNK_ID} and {PAD}={PAD_ID}")
+        text_of = {i: t for t, i in self.id_of.items()}
+        if sorted(text_of) != list(range(len(self.id_of))):
+            raise ValueError(f"ids must be 0..{len(self.id_of) - 1}, each used once")
+        object.__setattr__(self, "text_of", text_of)
 
     def __len__(self) -> int:
         return len(self.id_of)
@@ -45,7 +48,7 @@ class Vocabulary:
         return text in self.id_of and text not in (UNK, PAD)
 
     def id(self, text: str) -> int:
-        return self.id_of.get(text, self.unk_id)
+        return self.id_of.get(text, UNK_ID)
 
     def text(self, token_id: int) -> str:
         return self.text_of[token_id]
@@ -76,7 +79,7 @@ def build_vocab(corpus: Iterable[Sequence[str]], max_size: int) -> Vocabulary:
     counts.pop(UNK, None)
     counts.pop(PAD, None)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
-    id_of = {UNK: 0, PAD: 1}
+    id_of = {UNK: UNK_ID, PAD: PAD_ID}
     for text, _ in ordered:
         id_of[text] = len(id_of)
     return Vocabulary(id_of=id_of, max_size=max_size)
@@ -85,8 +88,8 @@ def build_vocab(corpus: Iterable[Sequence[str]], max_size: int) -> Vocabulary:
 def encode(texts: Sequence[str], vocab: Vocabulary, window: int) -> list[list[int]]:
     """Encode a token-text stream as non-overlapping windows of ids.
 
-    OOV texts map to unk_id; the final short window is right-padded with
-    pad_id so every window has exactly `window` ids.
+    OOV texts map to UNK_ID; the final short window is right-padded with
+    PAD_ID so every window has exactly `window` ids.
     """
     if window < 2:
         raise ValueError("window must be >= 2")
@@ -95,7 +98,7 @@ def encode(texts: Sequence[str], vocab: Vocabulary, window: int) -> list[list[in
     for start in range(0, len(ids), window):
         chunk = ids[start : start + window]
         if len(chunk) < window:
-            chunk = chunk + [vocab.pad_id] * (window - len(chunk))
+            chunk = chunk + [PAD_ID] * (window - len(chunk))
         out.append(chunk)
     return out
 
@@ -108,12 +111,26 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
+    """The vocabulary `save_vocab` wrote to `path`; ValueError naming the
+    file, and the line where there is one, when it is malformed."""
     id_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as fp:
-        for line in fp:
+        for lineno, line in enumerate(fp, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            text, _, raw_id = line.rpartition("\t")
-            id_of[text] = int(raw_id)
-    return Vocabulary(id_of=id_of, max_size=max(len(id_of) - 2, 1))
+            text, tab, raw_id = line.rpartition("\t")
+            try:
+                if not tab:
+                    raise ValueError("no tab")
+                if text in id_of:
+                    raise ValueError(f"repeated text {text!r}")
+                id_of[text] = int(raw_id)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed vocabulary line ({exc})"
+                ) from exc
+    try:
+        return Vocabulary(id_of=id_of, max_size=max(len(id_of) - 2, 1))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -143,7 +143,7 @@ class GradCheckError(RuntimeError):
     pass
 
 
-def grad_check(params, batch, config, h=1e-5, n_coords=200, seed=0, pad_id=1) -> float:
+def grad_check(params, batch, config, h=1e-5, n_coords=200, seed=0) -> float:
     """Max relative error between analytic and central-difference gradients
     over >= n_coords randomly sampled parameter coordinates.
 
@@ -154,7 +154,7 @@ def grad_check(params, batch, config, h=1e-5, n_coords=200, seed=0, pad_id=1) ->
         if p.data.dtype != np.float64:
             raise GradCheckError(f"grad_check requires float64 params ({name})")
         p.grad = None
-    out = loss(params, batch, config, pad_id=pad_id)
+    out = loss(params, batch, config)
     out.backward()
     analytic = {}
     for name, p in params.items():
@@ -175,9 +175,9 @@ def grad_check(params, batch, config, h=1e-5, n_coords=200, seed=0, pad_id=1) ->
         idx = np.unravel_index(flat_idx, params[name].data.shape)
         original = params[name].data[idx]
         params[name].data[idx] = original + h
-        up = float(loss(params, batch, config, pad_id=pad_id).data)
+        up = float(loss(params, batch, config).data)
         params[name].data[idx] = original - h
-        down = float(loss(params, batch, config, pad_id=pad_id).data)
+        down = float(loss(params, batch, config).data)
         params[name].data[idx] = original
         numeric = (up - down) / (2.0 * h)
         a = float(analytic[name][idx])

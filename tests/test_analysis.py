@@ -20,7 +20,7 @@ from complab.vocab import build_vocab
 
 def _example(target, context=("a", "b")):
     return EvalExample(
-        context=tuple(Token(t, classify_text(t)) for t in context),
+        context_texts=tuple(context),
         target=Token(target, classify_text(target)),
         file_id="f",
     )

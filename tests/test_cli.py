@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from complab import pipeline
+from complab import cli, pipeline
 from complab.abtest import AbObservation, compare
 from complab.cli import _load_config, main
 from complab.corpus import save_events
@@ -187,6 +187,29 @@ def test_serve_rejects_bad_threshold_and_max_promote_at_startup(tmp_path, capsys
         assert "model file not found" not in stderr and stdout == ""
 
 
+def test_serve_rejects_bad_tcp_port_before_loading_the_model(tmp_path, capsys):
+    model = str(tmp_path / "none.json")
+    for tcp in ("127.0.0.1:70000", "127.0.0.1:x"):
+        rc, stdout, stderr = _run(capsys, ["serve", "--model", model, "--tcp", tcp])
+        assert rc == 1 and stdout == "", tcp
+        assert stderr.startswith("error: ") and "--tcp" in stderr, stderr
+        assert "Traceback" not in stderr and "model file not found" not in stderr
+
+
+def test_evaluate_rejects_an_unknown_model_kind_before_loading(tmp_path, capsys, monkeypatch):
+    def no_load(*args):
+        raise AssertionError(f"loaded {args}")
+
+    monkeypatch.setattr(cli, "_load_completer", no_load)
+    monkeypatch.setattr(pipeline, "load_split", no_load)
+    ws = tmp_path / "ws"
+    rc, stdout, stderr = _run(capsys, ["evaluate", "--out", str(ws), "--models", "ngram,bogus",
+                                       "--train", "committed", "--eval", "completion"])
+    assert rc == 1 and stdout == ""
+    assert stderr == "error: unknown model kind: bogus\n"
+    assert not (ws / "reports").exists()
+
+
 def _run(capsys, argv):
     capsys.readouterr()
     rc = main(argv)
@@ -355,11 +378,40 @@ def _event_without_context(ws):
     return ["train-vocab", "--out", str(ws), "--train", "completion"]
 
 
+def _event_context_not_text(ws):
+    root = ws / "data" / "completion"
+    root.mkdir(parents=True)
+    record = {"context": ["x", 5], "accepted": "y", "developer_id": "d", "timestamp": 0.0,
+              "file_id": "f"}
+    (root / "events.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return ["train-vocab", "--out", str(ws), "--train", "completion"]
+
+
 def _manifest_entry_without_path(ws):
     root = ws / "data" / "committed"
     root.mkdir(parents=True)
     (root / "manifest.jsonl").write_text(json.dumps({"file_id": "a"}) + "\n", encoding="utf-8")
     return ["train-vocab", "--out", str(ws), "--train", "committed"]
+
+
+def _vocab(ws, lines):
+    """Only models/committed/vocab.tsv: the vocabulary loads before any corpus."""
+    path = pipeline.models_dir(ws, "committed") / "vocab.tsv"
+    path.parent.mkdir(parents=True)
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return ["train-ngram", "--out", str(ws), "--train", "committed"]
+
+
+def _vocab_gap(ws):
+    return _vocab(ws, ["<unk>\t0", "<pad>\t1", ";\t99999"])
+
+
+def _vocab_no_tab(ws):
+    return _vocab(ws, ["<unk>\t0", "<pad>\t1", "foo"])
+
+
+def _vocab_repeated_text(ws):
+    return _vocab(ws, ["<unk>\t0", "<pad>\t1", "a\t2", "a\t3"])
 
 
 @pytest.mark.parametrize(
@@ -370,10 +422,15 @@ def _manifest_entry_without_path(ws):
         (_npz_without_header, "transformer.npz: "),
         (_npz_truncated, "transformer.npz: "),
         (_event_without_context, "events.jsonl:1: "),
+        (_event_context_not_text, "events.jsonl:1: "),
         (_manifest_entry_without_path, "manifest.jsonl:1: "),
+        (_vocab_gap, "vocab.tsv: "),
+        (_vocab_no_tab, "vocab.tsv:3: "),
+        (_vocab_repeated_text, "vocab.tsv:4: "),
     ],
     ids=["ngram-no-vocab", "ngram-list", "npz-no-header", "npz-truncated", "event-no-context",
-         "manifest-no-path"],
+         "event-context-not-text", "manifest-no-path", "vocab-gap", "vocab-no-tab",
+         "vocab-repeated-text"],
 )
 def test_malformed_model_and_event_files_get_an_error(tmp_path, capsys, make, where):
     rc, stdout, stderr = _run(capsys, make(tmp_path))

@@ -26,9 +26,8 @@ def _file(file_id, source, last_modified=0.0):
 
 
 def _event(dev="d1", ts=1000.0, accepted="foo", context="$x ="):
-    ctx = tuple(tokenize(context))
     return CompletionEvent(
-        context=ctx,
+        context=tuple(context.split()),
         accepted=Token(accepted, TokenKind.IDENTIFIER),
         developer_id=dev,
         timestamp=ts,
@@ -74,7 +73,7 @@ def test_sample_identifier_targets_eligibility():
     files = [_file("f0", "$a = f(1);")]
     examples = sample_identifier_targets(files, n=10, seed=0)
     assert [e.target.text for e in examples] == ["f"]
-    assert [t.text for t in examples[0].context] == ["$a", "="]
+    assert examples[0].context_texts == ("$a", "=")
     assert examples[0].file_id == "f0"
 
 
@@ -82,7 +81,7 @@ def test_sample_identifier_targets_no_duplicates():
     files = [_file("f0", "$a = f($b, $c);")]
     examples = sample_identifier_targets(files, n=100, seed=0)
     # A position is its target and the length of the context before it.
-    positions = [(e.target.text, len(e.context)) for e in examples]
+    positions = [(e.target.text, len(e.context_texts)) for e in examples]
     assert len(positions) == len(set(positions)) == 3  # f, $b, $c
 
 
@@ -90,8 +89,8 @@ def test_sample_identifier_targets_deterministic():
     files = [_file(f"f{i}", "$a = f($b); return g($a);") for i in range(30)]
     a = sample_identifier_targets(files, n=10, seed=5)
     b = sample_identifier_targets(files, n=10, seed=5)
-    assert [(e.target.text, len(e.context)) for e in a] == [
-        (e.target.text, len(e.context)) for e in b
+    assert [(e.target.text, len(e.context_texts)) for e in a] == [
+        (e.target.text, len(e.context_texts)) for e in b
     ]
 
 
@@ -106,7 +105,7 @@ def test_context_capped_at_100():
     source = " ".join(["$a ="] * 120) + " target"
     files = [_file("f0", source)]
     examples = sample_identifier_targets(files, n=500, seed=0)
-    assert all(len(e.context) <= 100 for e in examples)
+    assert all(len(e.context_texts) <= 100 for e in examples)
 
 
 def test_events_to_examples():
@@ -114,7 +113,7 @@ def test_events_to_examples():
     examples, skipped = events_to_examples(events)
     assert skipped == 0
     assert examples[0].target.text == "foo"
-    assert [t.text for t in examples[0].context] == ["$x", "="]
+    assert examples[0].context_texts == ("$x", "=")
     assert examples[0].file_id == "f1"
 
 
@@ -135,7 +134,7 @@ def test_events_to_examples_skips_empty_context():
 def test_event_requires_identifier_like_accepted():
     with pytest.raises(ValueError):
         CompletionEvent(
-            context=tuple(tokenize("$x =")),
+            context=("$x", "="),
             accepted=Token(";", TokenKind.PUNCTUATION),
             developer_id="d",
             timestamp=0.0,
@@ -145,7 +144,7 @@ def test_event_requires_identifier_like_accepted():
 
 def test_eval_example_requires_context():
     with pytest.raises(ValueError):
-        EvalExample(context=(), target=Token("x", TokenKind.IDENTIFIER), file_id="f")
+        EvalExample(context_texts=(), target=Token("x", TokenKind.IDENTIFIER), file_id="f")
 
 
 def test_event_record_round_trip():
@@ -155,7 +154,7 @@ def test_event_record_round_trip():
     assert record["accepted_kind"] == "identifier"
     back = event_from_record(json.loads(json.dumps(record)))
     assert back.accepted.text == event.accepted.text
-    assert [t.text for t in back.context] == [t.text for t in event.context]
+    assert back.context == event.context
     assert back.developer_id == event.developer_id
 
 

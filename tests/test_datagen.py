@@ -144,7 +144,7 @@ def test_completion_profile_emits_events_with_true_context():
         record = by_id[event.file_id]
         texts = [t.text for t in record.tokens]
         # Context must be the tokens immediately before some occurrence.
-        window = [t.text for t in event.context]
+        window = list(event.context)
         found = any(
             text == event.accepted.text and window == texts[max(0, p - 100) : p]
             for p, text in enumerate(texts)

@@ -8,7 +8,7 @@ from complab.lexer import Token, TokenKind
 
 def _example(target, context=("$x", "=")):
     return EvalExample(
-        context=tuple(Token(t, TokenKind.IDENTIFIER) for t in context),
+        context_texts=tuple(context),
         target=Token(target, TokenKind.IDENTIFIER),
         file_id="f",
     )

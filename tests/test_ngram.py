@@ -13,7 +13,7 @@ from complab.ngram import (
     save_ngram,
     train_ngram,
 )
-from complab.vocab import build_vocab
+from complab.vocab import PAD_ID, UNK_ID, build_vocab
 from oracles import BruteForceKN
 
 
@@ -65,7 +65,7 @@ def test_single_symbol_vocab_probability_one():
 
 def test_normalization_over_full_vocab():
     model, vocab, _ = _model_from_text("a b a b a c d e a d", order=3)
-    for ctx in ([], [vocab.id("a")], [vocab.id("a"), vocab.id("b")], [vocab.unk_id]):
+    for ctx in ([], [vocab.id("a")], [vocab.id("a"), vocab.id("b")], [UNK_ID]):
         total = sum(ngram_prob(model, ctx, w) for w in range(len(vocab)))
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -133,7 +133,7 @@ def test_prob_rejects_ids_outside_vocabulary():
 
 def test_pads_excluded_from_counting():
     vocab = build_vocab([["a", "b"]], max_size=10)
-    padded = [vocab.id("a"), vocab.id("b"), vocab.pad_id, vocab.pad_id]
+    padded = [vocab.id("a"), vocab.id("b"), PAD_ID, PAD_ID]
     plain = [vocab.id("a"), vocab.id("b")]
     m_padded = train_ngram([padded], 2, vocab)
     m_plain = train_ngram([plain], 2, vocab)
@@ -154,7 +154,7 @@ def test_topk_excludes_specials_and_caps_size():
     top = ngram_topk(model, [], 100)
     assert len(top) == len(vocab) - 2
     ids = [i for i, _ in top]
-    assert vocab.unk_id not in ids and vocab.pad_id not in ids
+    assert UNK_ID not in ids and PAD_ID not in ids
 
 
 def test_topk_tie_break_lexicographic():
@@ -275,7 +275,7 @@ def test_distribution_matches_oracle_fresh_and_after_reload(tmp_path):
         "seen": ids[10:13],
         "unseen": [never, never, never],
         "partly seen": [never] + ids[20:22],
-        "unknown": [vocab.unk_id, ids[5]],
+        "unknown": [UNK_ID, ids[5]],
         "longer than the order": ids[30:40],
     }
 

@@ -26,10 +26,9 @@ def _files(prefix, n, source):
 
 
 def _events(n, context_texts, accepted):
-    context = tokens_from_texts(context_texts)
     return [
         CompletionEvent(
-            context=context,
+            context=tuple(context_texts),
             accepted=tokens_from_texts([accepted])[0],
             developer_id=f"dev{i % 7}",
             timestamp=1000.0 + i,
@@ -87,7 +86,7 @@ def test_completion_with_events_never_loads_files(tmp_path, monkeypatch):
         assert streams == [["$a", "=", "foo"]] * len(getattr(split, use))
     examples = pipeline.eval_examples(split, 1000, SEED)
     assert len(examples) == len(split.test)
-    assert all(ex.context_texts == ["$a", "="] and ex.target.text == "foo" for ex in examples)
+    assert all(ex.context_texts == ("$a", "=") and ex.target.text == "foo" for ex in examples)
     with pytest.raises(AssertionError, match="load_file_corpus"):
         pipeline.load_split(root, "committed", SEED)
 
@@ -113,14 +112,14 @@ def test_completion_without_events_uses_files(tmp_path):
 def test_streams_and_contexts_are_capped_at_window(tmp_path):
     long_texts = [f"v{i}" for i in range(WINDOW + 50)]
     (event,) = _events(1, long_texts, "foo")
-    assert [t.text for t in event.context] == long_texts[-WINDOW:]
+    assert list(event.context) == long_texts[-WINDOW:]
     assert pipeline.training_streams([pipeline.Split([event], [], [])]) == [
         long_texts[-(WINDOW - 1) :] + ["foo"]
     ]
 
     record = FileRecord("f", tokens_from_texts(long_texts * 2), 0.0)
     examples = pipeline.eval_examples(pipeline.Split([], [], [record]), 50, SEED)
-    assert examples and max(len(ex.context) for ex in examples) == WINDOW
+    assert examples and max(len(ex.context_texts) for ex in examples) == WINDOW
 
     profile = dataclasses.replace(default_profiles()[1], files=3, tokens_per_file=3 * WINDOW)
     files, events = generate(profile, SEED, event_rate=0.5)
@@ -133,5 +132,6 @@ def test_streams_and_contexts_are_capped_at_window(tmp_path):
             if t.text == e.accepted.text and min(p, WINDOW) == len(e.context)
         ]
         assert any(
-            e.context == tokens[e.file_id][max(0, pos - WINDOW) : pos] for pos in positions
+            list(e.context) == [t.text for t in tokens[e.file_id][max(0, pos - WINDOW) : pos]]
+            for pos in positions
         )

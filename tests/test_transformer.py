@@ -21,7 +21,7 @@ from complab.transformer import (
     small_config,
     train,
 )
-from complab.vocab import Vocabulary
+from complab.vocab import PAD_ID, Vocabulary
 from oracles import GradCheckError, grad_check
 
 
@@ -110,11 +110,11 @@ def test_loss_excludes_pad_targets():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def _composite_loss(params, batch, config, pad_id=1):
+def _composite_loss(params, batch, config):
     """The unfused loss: log_softmax, gather, pad mask, sum."""
     inputs, targets = batch[:, :-1], batch[:, 1:]
-    mask = (targets != pad_id).astype(np.float64)
-    logp = ag.log_softmax(tf._logits(params, inputs, config, pad_id=pad_id))
+    mask = (targets != PAD_ID).astype(np.float64)
+    logp = ag.log_softmax(tf._logits(params, inputs, config))
     picked = ag.mul_const(ag.gather_last(logp, targets), mask)
     return ag.scale(ag.tsum(picked), -1.0 / mask.sum())
 
@@ -193,7 +193,7 @@ def test_inference_records_no_graph(monkeypatch):
 
     monkeypatch.setattr(ag, "_needs_graph", recording)
     rows = forward(params, ids, CONFIG)
-    valid_loss = tf._mean_valid_loss(params, valid, CONFIG, pad_id=1)
+    valid_loss = tf._mean_valid_loss(params, valid, CONFIG)
     assert graph_built and not any(graph_built)
     assert np.array_equal(rows, want_rows)
     assert valid_loss == want_loss
@@ -205,6 +205,17 @@ def test_loss_all_pad_targets_error():
     params = init_params(CONFIG, dtype=np.float64)
     with pytest.raises(ValueError):
         loss(params, np.array([[2, 1, 1]]), CONFIG)  # every target is pad
+
+
+def test_pad_id_is_accepted_only_as_the_constant():
+    params = init_params(CONFIG, dtype=np.float64)
+    batch = np.array([[2, 3, 4, 1]])
+    assert np.array_equal(forward(params, [2, 3], CONFIG, pad_id=PAD_ID), forward(params, [2, 3], CONFIG))
+    assert float(loss(params, batch, CONFIG, pad_id=PAD_ID).data) == float(loss(params, batch, CONFIG).data)
+    with pytest.raises(ValueError, match="pad_id"):
+        forward(params, [2, 3], CONFIG, pad_id=0)
+    with pytest.raises(ValueError, match="pad_id"):
+        loss(params, batch, CONFIG, pad_id=0)
 
 
 def test_loss_permutation_invariant():
@@ -311,7 +322,7 @@ def _fit(params, batch, config, steps):
         clip_norm=config.clip_norm,
     )
     batch = np.asarray(batch, dtype=np.int64)
-    return [tf._train_step(params, opt, batch, config, pad_id=1) for _ in range(steps)]
+    return [tf._train_step(params, opt, batch, config) for _ in range(steps)]
 
 
 def test_overfit_smoke():

@@ -3,7 +3,9 @@ from hypothesis import given, strategies as st
 
 from complab.vocab import (
     PAD,
+    PAD_ID,
     UNK,
+    UNK_ID,
     Vocabulary,
     build_vocab,
     encode,
@@ -26,7 +28,29 @@ def test_lexicographic_tie_break():
 def test_empty_corpus_keeps_specials_only():
     v = build_vocab([], max_size=10)
     assert set(v.id_of) == {UNK, PAD}
-    assert v.unk_id == 0 and v.pad_id == 1
+    assert v.id_of == {UNK: UNK_ID, PAD: PAD_ID} and (UNK_ID, PAD_ID) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "id_of",
+    [
+        {UNK: 1, PAD: 0, "a": 2},
+        {PAD: 1, "a": 2},
+        {UNK: 0, PAD: 1, "a": 3},
+        {UNK: 0, PAD: 1, "a": 2, "b": 2},
+    ],
+    ids=["specials-swapped", "no-unk", "gap", "shared-id"],
+)
+def test_vocabulary_rejects_a_broken_id_map(id_of):
+    with pytest.raises(ValueError):
+        Vocabulary(id_of=id_of, max_size=10)
+
+
+def test_text_of_is_derived_from_id_of():
+    v = Vocabulary(id_of={UNK: 0, PAD: 1, "a": 2}, max_size=10)
+    assert v.text_of == {0: UNK, 1: PAD, 2: "a"}
+    with pytest.raises(TypeError):
+        Vocabulary(id_of={UNK: 0, PAD: 1}, max_size=10, text_of={0: "x", 1: "y"})
 
 
 def test_ids_dense_and_frequency_ordered():
@@ -42,13 +66,13 @@ def test_encode_windows_and_padding():
     assert len(windows) == 3
     assert all(len(w) == 100 for w in windows)
     assert windows[2][49] == v.id("a")
-    assert windows[2][50:] == [v.pad_id] * 50
+    assert windows[2][50:] == [PAD_ID] * 50
 
 
 def test_encode_oov_becomes_unk():
     v = build_vocab([["a"]], max_size=5)
     (window,) = encode(["a", "zzz"], v, window=2)
-    assert window == [v.id("a"), v.unk_id]
+    assert window == [v.id("a"), UNK_ID]
 
 
 def test_encode_empty_stream():
